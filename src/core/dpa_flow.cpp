@@ -341,11 +341,17 @@ DpaFlowResult run_dpa_flow(const cells::CellLibrary& library,
   // MLPA engines, and -- only when the caller wants the matrix -- the
   // materialized trace copy.
   const auto model = sca::LeakageModel::kHammingWeight;
-  sca::MtdTracker mtd(model, options.samples, options.key, options.num_traces);
-  sca::CpaAccumulator cpa(model, options.samples);
+  // Only the engines the options select are built (DPA always is): each
+  // bucketed engine (CPA, DPA, MLPA) holds a 256 x samples matrix, too big
+  // to allocate speculatively.
+  std::optional<sca::MtdTracker> mtd;
+  std::optional<sca::CpaAccumulator> cpa;
+  if (options.compute_mtd) {
+    mtd.emplace(model, options.samples, options.key, options.num_traces);
+  } else {
+    cpa.emplace(model, options.samples);
+  }
   sca::DpaAccumulator dpa(options.samples);
-  // Optional engines live behind optionals: the MLPA state alone is
-  // 256 x 8 x samples doubles, too big to allocate speculatively.
   std::optional<sca::StaticMtdTracker> st_awake_mtd, st_asleep_mtd;
   std::optional<sca::StaticPowerAccumulator> st_awake, st_asleep;
   std::optional<sca::MlpaMtdTracker> mlpa_mtd;
@@ -374,11 +380,8 @@ DpaFlowResult run_dpa_flow(const cells::CellLibrary& library,
   }
   sca::TraceBatch batch;
   while (source->next(batch)) {
-    if (options.compute_mtd) {
-      mtd.add_batch(batch);
-    } else {
-      cpa.add_batch(batch);
-    }
+    if (mtd) mtd->add_batch(batch);
+    if (cpa) cpa->add_batch(batch);
     dpa.add_batch(batch);
     if (st_awake_mtd) st_awake_mtd->add_batch(batch);
     if (st_asleep_mtd) st_asleep_mtd->add_batch(batch);
@@ -397,11 +400,11 @@ DpaFlowResult run_dpa_flow(const cells::CellLibrary& library,
 
   result.mean_current = source->mean_current();
   result.diagnostics = source->diagnostics();
-  if (options.compute_mtd) {
-    result.cpa = mtd.snapshot(options.keep_time_curves);
-    result.mtd = mtd.finish();
+  if (mtd) {
+    result.cpa = mtd->snapshot(options.keep_time_curves);
+    result.mtd = mtd->finish();
   } else {
-    result.cpa = cpa.snapshot(options.keep_time_curves);
+    result.cpa = cpa->snapshot(options.keep_time_curves);
   }
   result.dpa = dpa.snapshot();
   if (st_awake_mtd) {

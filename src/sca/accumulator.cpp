@@ -66,14 +66,270 @@ void check_trace_width(std::size_t got, std::size_t want, const char* who) {
 }  // namespace
 
 // ---------------------------------------------------------------------------
+// PlaintextBuckets and the Walsh-Hadamard snapshot kernel.
+//
+// A hypothesis h(p, k) = f(S(p ^ k)) makes every per-guess statistic an
+// XOR-convolution over the plaintext axis: for the centred bucket column D,
+//   sum_i (h_ik - mean_h_k)(s_ij - mean_s_j) = sum_p f(S(p ^ k)) D[p][j],
+// because sum_p D[p][j] = 0.  The unnormalized transform H (H * H = 256 I)
+// diagonalizes XOR-convolution, so all 256 guesses of a column cost one
+// forward transform of D, a pointwise product with H f, and one inverse.
+
+namespace {
+
+/// Snapshot column-block width: fixed, so the per-column arithmetic never
+/// depends on the worker count.  256 x 16 doubles = 32 KiB per block buffer.
+constexpr std::size_t kSpectrumBlock = 16;
+
+/// In-place unnormalized Walsh-Hadamard transform over the 256 rows of a
+/// row-major 256 x w block (one transform per column).  Each pass fuses two
+/// radix-2 stages into a radix-4 butterfly: the same sums and differences
+/// in the same order, with half the sweeps over the block.
+void fwht256(double* a, std::size_t w) {
+  for (std::size_t h = 1; h < 256; h <<= 2) {
+    for (std::size_t i = 0; i < 256; i += 4 * h) {
+      for (std::size_t p = i; p < i + h; ++p) {
+        double* r0 = a + p * w;
+        double* r1 = r0 + h * w;
+        double* r2 = r1 + h * w;
+        double* r3 = r2 + h * w;
+        for (std::size_t c = 0; c < w; ++c) {
+          const double s01 = r0[c] + r1[c];
+          const double d01 = r0[c] - r1[c];
+          const double s23 = r2[c] + r3[c];
+          const double d23 = r2[c] - r3[c];
+          r0[c] = s01 + s23;
+          r1[c] = d01 + d23;
+          r2[c] = s01 - s23;
+          r3[c] = d01 - d23;
+        }
+      }
+    }
+  }
+}
+
+/// Hypothesis function of the S-box output index x = p ^ k.
+using SboxFunction = std::array<double, 256>;
+
+/// H f / 256 with the DC term zeroed: the transform side of an
+/// XOR-convolution with the centred f.  Dropping the DC term is exact in
+/// real arithmetic (sum_p D = 0) and discards the rounding residue of D's
+/// column sum.
+SboxFunction centred_spectrum_of(const SboxFunction& f) {
+  SboxFunction hat = f;
+  fwht256(hat.data(), 1);
+  hat[0] = 0.0;
+  for (double& v : hat) v /= 256.0;  // exact: power of two
+  return hat;
+}
+
+/// Leakage-model values f(x) with predict_leakage(model, p, k) = f(p ^ k).
+SboxFunction model_function(LeakageModel model) {
+  SboxFunction f{};
+  for (int x = 0; x < 256; ++x) {
+    f[static_cast<std::size_t>(x)] =
+        predict_leakage(model, static_cast<std::uint8_t>(x), 0);
+  }
+  return f;
+}
+
+/// Bit b of the S-box output, as a function of x = p ^ k.
+SboxFunction sbox_bit_function(int b) {
+  SboxFunction f{};
+  for (int x = 0; x < 256; ++x) {
+    f[static_cast<std::size_t>(x)] =
+        (aes::reduced_target(static_cast<std::uint8_t>(x), 0) >> b) & 1;
+  }
+  return f;
+}
+
+/// out[k][c] = sum_p f(p ^ k) D[p][c] for a 256 x w block, from the block's
+/// spectrum and centred_spectrum_of(f).
+void xor_convolve(const double* spectrum, const SboxFunction& f_hat,
+                  std::size_t w, double* out) {
+  for (std::size_t k = 0; k < 256; ++k) {
+    const double g = f_hat[k];
+    const double* in = spectrum + k * w;
+    double* o = out + k * w;
+    for (std::size_t c = 0; c < w; ++c) o[c] = g * in[c];
+  }
+  fwht256(out, w);
+}
+
+/// Per S-box output bit b, N / (n1 * n0) for every guess k, where n1 counts
+/// the traces whose bit b of S(p ^ k) is 1: the factor turning the bit-1
+/// partition's centred sum E into mean1 - mean0 (the bit-0 partition's
+/// centred sum is -E).  0 where a partition is empty: the bit is unusable.
+std::array<std::array<double, 256>, 8> partition_scales(
+    const std::array<std::uint64_t, 256>& counts, std::size_t n) {
+  std::array<std::array<std::uint64_t, 256>, 8> ones{};
+  for (std::size_t p = 0; p < 256; ++p) {
+    const std::uint64_t c = counts[p];
+    if (c == 0) continue;
+    for (std::size_t k = 0; k < 256; ++k) {
+      const std::uint8_t v = aes::reduced_target(
+          static_cast<std::uint8_t>(p), static_cast<std::uint8_t>(k));
+      for (std::size_t b = 0; b < 8; ++b) ones[b][k] += c * ((v >> b) & 1u);
+    }
+  }
+  const double total = static_cast<double>(n);
+  std::array<std::array<double, 256>, 8> scale{};
+  for (std::size_t b = 0; b < 8; ++b) {
+    for (std::size_t k = 0; k < 256; ++k) {
+      const double n1 = static_cast<double>(ones[b][k]);
+      const double n0 = total - n1;
+      scale[b][k] = n1 > 0.0 && n0 > 0.0 ? total / (n1 * n0) : 0.0;
+    }
+  }
+  return scale;
+}
+
+std::size_t spectrum_blocks(std::size_t m) {
+  return (m + kSpectrumBlock - 1) / kSpectrumBlock;
+}
+
+/// Runs `block(blk, lo, hi, spectrum)` on every fixed column block in
+/// parallel, each with its own 256 x (hi - lo) spectrum of the centred
+/// buckets.
+template <typename BlockFn>
+void for_each_spectrum_block(const PlaintextBuckets& buckets, BlockFn block) {
+  const std::size_t m = buckets.samples();
+  util::parallel_for(
+      spectrum_blocks(m),
+      [&](std::size_t blk) {
+        const std::size_t lo = blk * kSpectrumBlock;
+        const std::size_t hi = std::min(m, lo + kSpectrumBlock);
+        std::vector<double> spectrum(256 * (hi - lo));
+        buckets.centred_spectrum(lo, hi, spectrum.data());
+        block(blk, lo, hi, spectrum.data());
+      },
+      /*grain=*/1);
+}
+
+/// Per-guess maximum over the per-block maxima, in block order.
+std::array<double, 256> reduce_block_peaks(
+    const std::vector<std::array<double, 256>>& block_peaks) {
+  std::array<double, 256> peak{};
+  for (const auto& bp : block_peaks) {
+    for (std::size_t k = 0; k < 256; ++k) peak[k] = std::max(peak[k], bp[k]);
+  }
+  return peak;
+}
+
+int argmax(const std::array<double, 256>& v) {
+  return static_cast<int>(std::max_element(v.begin(), v.end()) - v.begin());
+}
+
+/// Per guess k, the max over samples of sqrt(sum_{b < bits} d_b^2), where
+/// d_b = mean1 - mean0 partitions the traces on bit b of S(p ^ k): bits = 1
+/// is classic DPA's |d_0|, bits = 8 the multi-linear MLPA score.  d_b is
+/// the bit-1 partition's centred sum times partition_scales(); a bit with
+/// an empty partition drops out.
+std::array<double, 256> partition_peaks(const PlaintextBuckets& buckets,
+                                        int bits) {
+  const auto scale = partition_scales(buckets.counts(), buckets.num_traces());
+  std::vector<SboxFunction> bit_hat;
+  for (int b = 0; b < bits; ++b) {
+    bit_hat.push_back(centred_spectrum_of(sbox_bit_function(b)));
+  }
+  std::vector<std::array<double, 256>> block_peaks(
+      spectrum_blocks(buckets.samples()));
+  for_each_spectrum_block(buckets, [&](std::size_t blk, std::size_t lo,
+                                       std::size_t hi,
+                                       const double* spectrum) {
+    const std::size_t w = hi - lo;
+    std::vector<double> sums(256 * w);
+    std::vector<double> sq(256 * w, 0.0);
+    for (int b = 0; b < bits; ++b) {
+      xor_convolve(spectrum, bit_hat[static_cast<std::size_t>(b)], w,
+                   sums.data());
+      const auto& sb = scale[static_cast<std::size_t>(b)];
+      for (std::size_t k = 0; k < 256; ++k) {
+        const double* row = sums.data() + k * w;
+        double* acc = sq.data() + k * w;
+        for (std::size_t c = 0; c < w; ++c) {
+          const double diff = row[c] * sb[k];
+          acc[c] += diff * diff;
+        }
+      }
+    }
+    auto& peak = block_peaks[blk];
+    for (std::size_t k = 0; k < 256; ++k) {
+      const double* acc = sq.data() + k * w;
+      for (std::size_t c = 0; c < w; ++c) peak[k] = std::max(peak[k], acc[c]);
+    }
+  });
+  std::array<double, 256> peak = reduce_block_peaks(block_peaks);
+  for (double& v : peak) v = std::sqrt(v);
+  return peak;
+}
+
+}  // namespace
+
+PlaintextBuckets::PlaintextBuckets(std::size_t samples)
+    : m_(samples), ref_(samples, 0.0), sum_(256 * samples, 0.0) {}
+
+void PlaintextBuckets::add_batch(const TraceBatch& batch) {
+  const std::size_t nb = batch.size();
+  if (nb == 0) return;
+  if (n_ == 0) ref_.assign(batch.traces[0].begin(), batch.traces[0].end());
+  for (std::size_t i = 0; i < nb; ++i) {
+    const std::uint8_t p = batch.plaintexts[i];
+    const double* t = batch.traces[i].data();
+    double* row = sum_.data() + static_cast<std::size_t>(p) * m_;
+    for (std::size_t j = 0; j < m_; ++j) row[j] += t[j] - ref_[j];
+    ++count_[p];
+  }
+  n_ += nb;
+}
+
+void PlaintextBuckets::merge(const PlaintextBuckets& other) {
+  if (other.n_ == 0) return;
+  if (n_ == 0) {
+    *this = other;
+    return;
+  }
+  std::vector<double> shift(m_);
+  for (std::size_t j = 0; j < m_; ++j) shift[j] = other.ref_[j] - ref_[j];
+  for (std::size_t p = 0; p < 256; ++p) {
+    if (other.count_[p] == 0) continue;
+    const double cnt = static_cast<double>(other.count_[p]);
+    double* row = sum_.data() + p * m_;
+    const double* orow = other.sum_.data() + p * m_;
+    for (std::size_t j = 0; j < m_; ++j) row[j] += orow[j] + cnt * shift[j];
+    count_[p] += other.count_[p];
+  }
+  n_ += other.n_;
+}
+
+void PlaintextBuckets::centred_spectrum(std::size_t lo, std::size_t hi,
+                                        double* out) const {
+  const std::size_t w = hi - lo;
+  std::vector<double> mean(w, 0.0);
+  for (std::size_t p = 0; p < 256; ++p) {
+    const double* row = sum_.data() + p * m_ + lo;
+    for (std::size_t c = 0; c < w; ++c) mean[c] += row[c];
+  }
+  const double n = static_cast<double>(n_);
+  for (double& v : mean) v /= n;
+  for (std::size_t p = 0; p < 256; ++p) {
+    const double cnt = static_cast<double>(count_[p]);
+    const double* row = sum_.data() + p * m_ + lo;
+    double* o = out + p * w;
+    for (std::size_t c = 0; c < w; ++c) o[c] = row[c] - cnt * mean[c];
+  }
+  fwht256(out, w);
+}
+
+// ---------------------------------------------------------------------------
 // CpaAccumulator
 
 CpaAccumulator::CpaAccumulator(LeakageModel model, std::size_t samples)
     : model_(model),
       m_(samples),
+      buckets_(samples),
       mean_s_(samples, 0.0),
-      m2_s_(samples, 0.0),
-      comoment_(samples, std::array<double, 256>{}) {}
+      m2_s_(samples, 0.0) {}
 
 void CpaAccumulator::add(std::uint8_t plaintext,
                          std::span<const double> trace) {
@@ -88,56 +344,20 @@ void CpaAccumulator::add_batch(const TraceBatch& batch) {
   for (const auto& t : batch.traces) {
     check_trace_width(t.size(), m_, "CpaAccumulator");
   }
-
-  // h-side Welford pass (serial: 256 slots shared by every sample column).
-  // Records dh_old_[i][k] = h - mean_h_before, the left factor of the
-  // co-moment update below.
-  if (dh_old_.size() < nb) dh_old_.resize(nb);
+  const std::size_t n0 = buckets_.num_traces();
+  buckets_.add_batch(batch);
+  // Welford over the shifted samples s - ref, serial in trace order.
+  const std::vector<double>& ref = buckets_.reference();
   for (std::size_t i = 0; i < nb; ++i) {
-    const double cnt = static_cast<double>(n_ + i + 1);
-    auto& dh = dh_old_[i];
-    for (int k = 0; k < 256; ++k) {
-      const double h = predict_leakage(model_, batch.plaintexts[i],
-                                       static_cast<std::uint8_t>(k));
-      const double d = h - mean_h_[k];
-      dh[k] = d;
-      mean_h_[k] += d / cnt;
-      m2_h_[k] += d * (h - mean_h_[k]);
+    const double cnt = static_cast<double>(n0 + i + 1);
+    const double* t = batch.traces[i].data();
+    for (std::size_t j = 0; j < m_; ++j) {
+      const double x = t[j] - ref[j];
+      const double dx = x - mean_s_[j];
+      mean_s_[j] += dx / cnt;
+      m2_s_[j] += dx * (x - mean_s_[j]);
     }
   }
-
-  // s-side Welford + co-moment, parallel over fixed column blocks.  Each
-  // column is owned by exactly one task and walks the batch in trace order,
-  // so the arithmetic per column is a fixed sequence at any thread count and
-  // for any batching of the same stream.
-  const std::size_t col_blocks = (m_ + kColBlock - 1) / kColBlock;
-  util::parallel_for(
-      col_blocks,
-      [&](std::size_t blk) {
-        const std::size_t j_lo = blk * kColBlock;
-        const std::size_t j_hi = std::min(m_, j_lo + kColBlock);
-        for (std::size_t j = j_lo; j < j_hi; ++j) {
-          double mean = mean_s_[j];
-          double m2 = m2_s_[j];
-          auto& c = comoment_[j];
-          for (std::size_t i = 0; i < nb; ++i) {
-            const double cnt = static_cast<double>(n_ + i + 1);
-            const double s = batch.traces[i][j];
-            const double ds = s - mean;
-            mean += ds / cnt;
-            const double ds_new = s - mean;
-            m2 += ds * ds_new;
-            if (ds_new == 0.0) continue;  // c[k] += x * 0.0 is a no-op
-            const auto& dh = dh_old_[i];
-            for (int k = 0; k < 256; ++k) c[k] += dh[k] * ds_new;
-          }
-          mean_s_[j] = mean;
-          m2_s_[j] = m2;
-        }
-      },
-      /*grain=*/1);
-
-  n_ += nb;
   cpa_obs().note_rows(nb, m_);
 }
 
@@ -147,48 +367,76 @@ void CpaAccumulator::merge(const CpaAccumulator& other) {
     throw std::invalid_argument(
         "CpaAccumulator::merge: model/sample-count mismatch");
   }
-  if (other.n_ == 0) return;
-  const double na = static_cast<double>(n_);
-  const double nb = static_cast<double>(other.n_);
+  if (other.num_traces() == 0) return;
+  if (num_traces() == 0) {
+    *this = other;
+    return;
+  }
+  const double na = static_cast<double>(num_traces());
+  const double nb = static_cast<double>(other.num_traces());
   const double n = na + nb;
   const double w = na * nb / n;  // Chan's cross-term weight
-
-  std::array<double, 256> dh{};
-  for (int k = 0; k < 256; ++k) dh[k] = other.mean_h_[k] - mean_h_[k];
-
+  const std::vector<double>& ref = buckets_.reference();
+  const std::vector<double>& oref = other.buckets_.reference();
   for (std::size_t j = 0; j < m_; ++j) {
-    const double ds = other.mean_s_[j] - mean_s_[j];
-    auto& c = comoment_[j];
-    const auto& oc = other.comoment_[j];
-    for (int k = 0; k < 256; ++k) c[k] += oc[k] + dh[k] * ds * w;
+    // The other side's mean, re-shifted onto this reference row.
+    const double ds = (other.mean_s_[j] + (oref[j] - ref[j])) - mean_s_[j];
     m2_s_[j] += other.m2_s_[j] + ds * ds * w;
     mean_s_[j] += ds * nb / n;
   }
-  for (int k = 0; k < 256; ++k) {
-    m2_h_[k] += other.m2_h_[k] + dh[k] * dh[k] * w;
-    mean_h_[k] += dh[k] * nb / n;
-  }
-  n_ += other.n_;
+  buckets_.merge(other.buckets_);
 }
 
 CpaResult CpaAccumulator::snapshot(bool keep_time_curves) const {
   CpaResult result;
-  if (n_ < 2 || m_ == 0) return result;
-  if (keep_time_curves) result.correlation_vs_time.assign(m_, {});
-  for (std::size_t j = 0; j < m_; ++j) {
-    const auto& c = comoment_[j];
-    for (int k = 0; k < 256; ++k) {
-      const double denom = std::sqrt(m2_h_[k] * m2_s_[j]);
-      const double corr = denom > 0.0 ? c[k] / denom : 0.0;
-      if (keep_time_curves) result.correlation_vs_time[j][k] = corr;
-      result.peak_correlation[k] =
-          std::max(result.peak_correlation[k], std::fabs(corr));
+  const std::size_t n = num_traces();
+  if (n < 2 || m_ == 0) return result;
+
+  // Hypothesis side, exact from the plaintext counts (two-pass per guess):
+  // inv_h[k] = 1 / sqrt(sum_i (h_ik - mean_h_k)^2), 0 for a constant guess.
+  const std::array<std::uint64_t, 256>& counts = buckets_.counts();
+  const SboxFunction f = model_function(model_);
+  std::array<double, 256> inv_h{};
+  for (std::size_t k = 0; k < 256; ++k) {
+    double sum = 0.0;
+    for (std::size_t p = 0; p < 256; ++p) {
+      sum += static_cast<double>(counts[p]) * f[p ^ k];
     }
+    const double mean = sum / static_cast<double>(n);
+    double m2 = 0.0;
+    for (std::size_t p = 0; p < 256; ++p) {
+      const double d = f[p ^ k] - mean;
+      m2 += static_cast<double>(counts[p]) * d * d;
+    }
+    inv_h[k] = m2 > 0.0 ? 1.0 / std::sqrt(m2) : 0.0;
   }
-  result.best_guess = static_cast<int>(
-      std::max_element(result.peak_correlation.begin(),
-                       result.peak_correlation.end()) -
-      result.peak_correlation.begin());
+
+  if (keep_time_curves) result.correlation_vs_time.assign(m_, {});
+  const SboxFunction f_hat = centred_spectrum_of(f);
+  std::vector<std::array<double, 256>> block_peaks(spectrum_blocks(m_));
+  for_each_spectrum_block(buckets_, [&](std::size_t blk, std::size_t lo,
+                                        std::size_t hi,
+                                        const double* spectrum) {
+    const std::size_t w = hi - lo;
+    std::vector<double> comoment(256 * w);
+    xor_convolve(spectrum, f_hat, w, comoment.data());
+    std::vector<double> inv_s(w);
+    for (std::size_t c = 0; c < w; ++c) {
+      const double m2 = m2_s_[lo + c];
+      inv_s[c] = m2 > 0.0 ? 1.0 / std::sqrt(m2) : 0.0;
+    }
+    auto& peak = block_peaks[blk];
+    for (std::size_t k = 0; k < 256; ++k) {
+      const double* row = comoment.data() + k * w;
+      for (std::size_t c = 0; c < w; ++c) {
+        const double corr = row[c] * inv_s[c] * inv_h[k];
+        if (keep_time_curves) result.correlation_vs_time[lo + c][k] = corr;
+        peak[k] = std::max(peak[k], std::fabs(corr));
+      }
+    }
+  });
+  result.peak_correlation = reduce_block_peaks(block_peaks);
+  result.best_guess = argmax(result.peak_correlation);
   return result;
 }
 
@@ -196,21 +444,13 @@ CpaResult CpaAccumulator::snapshot(bool keep_time_curves) const {
 // DpaAccumulator
 
 DpaAccumulator::DpaAccumulator(std::size_t samples)
-    : m_(samples), sum1_(256 * samples, 0.0), sum0_(256 * samples, 0.0) {}
+    : m_(samples), buckets_(samples) {}
 
 void DpaAccumulator::add(std::uint8_t plaintext,
                          std::span<const double> trace) {
-  check_trace_width(trace.size(), m_, "DpaAccumulator");
-  for (int k = 0; k < 256; ++k) {
-    const bool bit =
-        (aes::reduced_target(plaintext, static_cast<std::uint8_t>(k)) & 1) !=
-        0;
-    double* row = (bit ? sum1_ : sum0_).data() + static_cast<std::size_t>(k) * m_;
-    if (bit) ++n1_[k];
-    for (std::size_t j = 0; j < m_; ++j) row[j] += trace[j];
-  }
-  ++n_;
-  dpa_obs().note_rows(1, m_);
+  TraceBatch one;
+  one.add(plaintext, trace);
+  add_batch(one);
 }
 
 void DpaAccumulator::add_batch(const TraceBatch& batch) {
@@ -219,23 +459,7 @@ void DpaAccumulator::add_batch(const TraceBatch& batch) {
   for (const auto& t : batch.traces) {
     check_trace_width(t.size(), m_, "DpaAccumulator");
   }
-  // Each guess's partition sums are touched by exactly one task, in trace
-  // order: bitwise identical to serial add() at any thread count.
-  util::parallel_for(256, [&](std::size_t kk) {
-    const int k = static_cast<int>(kk);
-    double* row1 = sum1_.data() + kk * m_;
-    double* row0 = sum0_.data() + kk * m_;
-    for (std::size_t i = 0; i < nb; ++i) {
-      const bool bit = (aes::reduced_target(batch.plaintexts[i],
-                                            static_cast<std::uint8_t>(k)) &
-                        1) != 0;
-      const auto& t = batch.traces[i];
-      double* row = bit ? row1 : row0;
-      if (bit) ++n1_[kk];
-      for (std::size_t j = 0; j < m_; ++j) row[j] += t[j];
-    }
-  });
-  n_ += nb;
+  buckets_.add_batch(batch);
   dpa_obs().note_rows(nb, m_);
 }
 
@@ -244,35 +468,14 @@ void DpaAccumulator::merge(const DpaAccumulator& other) {
   if (other.m_ != m_) {
     throw std::invalid_argument("DpaAccumulator::merge: sample-count mismatch");
   }
-  for (std::size_t i = 0; i < sum1_.size(); ++i) {
-    sum1_[i] += other.sum1_[i];
-    sum0_[i] += other.sum0_[i];
-  }
-  for (int k = 0; k < 256; ++k) n1_[k] += other.n1_[k];
-  n_ += other.n_;
+  buckets_.merge(other.buckets_);
 }
 
 DpaResult DpaAccumulator::snapshot() const {
   DpaResult result;
-  if (n_ < 2 || m_ == 0) return result;
-  for (int k = 0; k < 256; ++k) {
-    const std::size_t n1 = n1_[k];
-    const std::size_t n0 = n_ - n1;
-    if (n1 == 0 || n0 == 0) continue;
-    const double* row1 = sum1_.data() + static_cast<std::size_t>(k) * m_;
-    const double* row0 = sum0_.data() + static_cast<std::size_t>(k) * m_;
-    double peak = 0.0;
-    for (std::size_t j = 0; j < m_; ++j) {
-      const double diff = row1[j] / static_cast<double>(n1) -
-                          row0[j] / static_cast<double>(n0);
-      peak = std::max(peak, std::fabs(diff));
-    }
-    result.peak_difference[k] = peak;
-  }
-  result.best_guess = static_cast<int>(
-      std::max_element(result.peak_difference.begin(),
-                       result.peak_difference.end()) -
-      result.peak_difference.begin());
+  if (num_traces() < 2 || m_ == 0) return result;
+  result.peak_difference = partition_peaks(buckets_, 1);
+  result.best_guess = argmax(result.peak_difference);
   return result;
 }
 
@@ -490,7 +693,7 @@ StaticPowerResult StaticPowerAccumulator::snapshot() const {
 // MlpaAccumulator
 
 MlpaAccumulator::MlpaAccumulator(std::size_t samples)
-    : m_(samples), total_(samples, 0.0), sum1_(256 * 8 * samples, 0.0) {}
+    : m_(samples), buckets_(samples) {}
 
 void MlpaAccumulator::add(std::uint8_t plaintext,
                           std::span<const double> trace) {
@@ -505,28 +708,7 @@ void MlpaAccumulator::add_batch(const TraceBatch& batch) {
   for (const auto& t : batch.traces) {
     check_trace_width(t.size(), m_, "MlpaAccumulator");
   }
-  // Guess-independent total row, folded serially in trace order.
-  for (std::size_t i = 0; i < nb; ++i) {
-    const auto& t = batch.traces[i];
-    for (std::size_t j = 0; j < m_; ++j) total_[j] += t[j];
-  }
-  // Each guess's 8 partition rows and counts are owned by exactly one task
-  // and walk the batch in trace order: bitwise identical to serial add().
-  util::parallel_for(256, [&](std::size_t kk) {
-    const auto k = static_cast<std::uint8_t>(kk);
-    for (std::size_t i = 0; i < nb; ++i) {
-      const std::uint8_t v = aes::reduced_target(batch.plaintexts[i], k);
-      const auto& t = batch.traces[i];
-      for (int b = 0; b < 8; ++b) {
-        if (((v >> b) & 1) == 0) continue;
-        ++n1_[kk][static_cast<std::size_t>(b)];
-        double* row =
-            sum1_.data() + (kk * 8 + static_cast<std::size_t>(b)) * m_;
-        for (std::size_t j = 0; j < m_; ++j) row[j] += t[j];
-      }
-    }
-  });
-  n_ += nb;
+  buckets_.add_batch(batch);
   mlpa_obs().note_rows(nb, m_);
 }
 
@@ -536,50 +718,14 @@ void MlpaAccumulator::merge(const MlpaAccumulator& other) {
     throw std::invalid_argument(
         "MlpaAccumulator::merge: sample-count mismatch");
   }
-  for (std::size_t j = 0; j < total_.size(); ++j) total_[j] += other.total_[j];
-  for (std::size_t i = 0; i < sum1_.size(); ++i) sum1_[i] += other.sum1_[i];
-  for (int k = 0; k < 256; ++k) {
-    for (int b = 0; b < 8; ++b) n1_[k][b] += other.n1_[k][b];
-  }
-  n_ += other.n_;
+  buckets_.merge(other.buckets_);
 }
 
 MlpaResult MlpaAccumulator::snapshot() const {
   MlpaResult result;
-  if (n_ < 2 || m_ == 0) return result;
-  for (int k = 0; k < 256; ++k) {
-    const double* rows[8];
-    double inv1[8];
-    double inv0[8];
-    bool usable[8];
-    for (int b = 0; b < 8; ++b) {
-      const std::size_t n1 = n1_[k][b];
-      const std::size_t n0 = n_ - n1;
-      usable[b] = n1 > 0 && n0 > 0;
-      rows[b] = sum1_.data() +
-                (static_cast<std::size_t>(k) * 8 + static_cast<std::size_t>(b)) *
-                    m_;
-      inv1[b] = usable[b] ? 1.0 / static_cast<double>(n1) : 0.0;
-      inv0[b] = usable[b] ? 1.0 / static_cast<double>(n0) : 0.0;
-    }
-    double peak_sq = 0.0;
-    for (std::size_t j = 0; j < m_; ++j) {
-      double sq = 0.0;
-      for (int b = 0; b < 8; ++b) {
-        if (!usable[b]) continue;
-        // bit = 0 partition sum is total - sum1: the multi-linear combiner
-        // needs only the 1-partitions and the guess-independent total.
-        const double diff =
-            rows[b][j] * inv1[b] - (total_[j] - rows[b][j]) * inv0[b];
-        sq += diff * diff;
-      }
-      peak_sq = std::max(peak_sq, sq);
-    }
-    result.score[k] = std::sqrt(peak_sq);
-  }
-  result.best_guess = static_cast<int>(
-      std::max_element(result.score.begin(), result.score.end()) -
-      result.score.begin());
+  if (num_traces() < 2 || m_ == 0) return result;
+  result.score = partition_peaks(buckets_, 8);
+  result.best_guess = argmax(result.score);
   return result;
 }
 
@@ -747,9 +893,10 @@ std::size_t MlpaMtdTracker::finish() {
 // Bitwise state serialization.  Every double crosses the boundary as its
 // exact bit pattern (SnapshotWriter::f64), so save/load round-trips resume
 // the identical arithmetic -- the invariant the campaign checkpoint tests
-// pin with memcmp-level comparisons.  Scratch members (dh_old_,
-// is_fixed_scratch_, MtdTracker::scratch_) are deliberately excluded: they
-// carry no state between batches.
+// pin with memcmp-level comparisons.  Scratch members (is_fixed_scratch_,
+// MtdTracker::scratch_) are deliberately excluded: they carry no state
+// between batches.  A format change bumps the tag's digit, so a stream of
+// the previous layout fails expect_tag instead of loading as garbage.
 
 namespace {
 
@@ -766,54 +913,74 @@ void load_exact(SnapshotReader& r, double* data, std::size_t n) {
   std::copy(tmp.begin(), tmp.end(), data);
 }
 
+/// Reads a sample count and rejects one the remaining stream cannot hold as
+/// a 256-row bucket matrix, before anything is allocated for it.
+std::size_t read_bucket_width(SnapshotReader& r, const char* who) {
+  const auto m = static_cast<std::size_t>(r.u64());
+  if (m > r.remaining() / (256 * sizeof(double))) {
+    throw std::runtime_error(std::string(who) +
+                             ": sample count exceeds stream");
+  }
+  return m;
+}
+
 }  // namespace
 
+void PlaintextBuckets::save(SnapshotWriter& w) const {
+  w.u64(n_);
+  for (const std::uint64_t c : count_) w.u64(c);
+  save_span(w, ref_.data(), ref_.size());
+  save_span(w, sum_.data(), sum_.size());
+}
+
+void PlaintextBuckets::load(SnapshotReader& r) {
+  n_ = static_cast<std::size_t>(r.u64());
+  std::uint64_t total = 0;
+  for (auto& c : count_) {
+    c = r.u64();
+    total += c;
+  }
+  if (total != n_) {
+    throw std::runtime_error(
+        "PlaintextBuckets::load: bucket counts do not sum to the trace count");
+  }
+  r.f64_into(ref_, m_);
+  r.f64_into(sum_, 256 * m_);
+}
+
 void CpaAccumulator::save(SnapshotWriter& w) const {
-  w.tag("CPA1");
+  w.tag("CPA2");
   w.u32(static_cast<std::uint32_t>(model_));
   w.u64(m_);
-  w.u64(n_);
-  save_span(w, mean_h_.data(), mean_h_.size());
-  save_span(w, m2_h_.data(), m2_h_.size());
+  buckets_.save(w);
   save_span(w, mean_s_.data(), mean_s_.size());
   save_span(w, m2_s_.data(), m2_s_.size());
-  for (const auto& row : comoment_) save_span(w, row.data(), row.size());
 }
 
 CpaAccumulator CpaAccumulator::load(SnapshotReader& r) {
-  r.expect_tag("CPA1");
+  r.expect_tag("CPA2");
   const std::uint32_t model = r.u32();
   if (model > kMaxLeakageModel) {
     throw std::runtime_error("CpaAccumulator::load: unknown leakage model");
   }
-  const std::size_t m = static_cast<std::size_t>(r.u64());
+  const std::size_t m = read_bucket_width(r, "CpaAccumulator::load");
   CpaAccumulator acc(static_cast<LeakageModel>(model), m);
-  acc.n_ = static_cast<std::size_t>(r.u64());
-  load_exact(r, acc.mean_h_.data(), acc.mean_h_.size());
-  load_exact(r, acc.m2_h_.data(), acc.m2_h_.size());
+  acc.buckets_.load(r);
   r.f64_into(acc.mean_s_, m);
   r.f64_into(acc.m2_s_, m);
-  for (auto& row : acc.comoment_) load_exact(r, row.data(), row.size());
   return acc;
 }
 
 void DpaAccumulator::save(SnapshotWriter& w) const {
-  w.tag("DPA1");
+  w.tag("DPA2");
   w.u64(m_);
-  w.u64(n_);
-  for (const std::size_t n1 : n1_) w.u64(n1);
-  save_span(w, sum1_.data(), sum1_.size());
-  save_span(w, sum0_.data(), sum0_.size());
+  buckets_.save(w);
 }
 
 DpaAccumulator DpaAccumulator::load(SnapshotReader& r) {
-  r.expect_tag("DPA1");
-  const std::size_t m = static_cast<std::size_t>(r.u64());
-  DpaAccumulator acc(m);
-  acc.n_ = static_cast<std::size_t>(r.u64());
-  for (auto& n1 : acc.n1_) n1 = static_cast<std::size_t>(r.u64());
-  r.f64_into(acc.sum1_, 256 * m);
-  r.f64_into(acc.sum0_, 256 * m);
+  r.expect_tag("DPA2");
+  DpaAccumulator acc(read_bucket_width(r, "DpaAccumulator::load"));
+  acc.buckets_.load(r);
   return acc;
 }
 
@@ -879,26 +1046,15 @@ StaticPowerAccumulator StaticPowerAccumulator::load(SnapshotReader& r) {
 }
 
 void MlpaAccumulator::save(SnapshotWriter& w) const {
-  w.tag("MLP1");
+  w.tag("MLP2");
   w.u64(m_);
-  w.u64(n_);
-  for (const auto& bits : n1_) {
-    for (const std::size_t n1 : bits) w.u64(n1);
-  }
-  save_span(w, total_.data(), total_.size());
-  save_span(w, sum1_.data(), sum1_.size());
+  buckets_.save(w);
 }
 
 MlpaAccumulator MlpaAccumulator::load(SnapshotReader& r) {
-  r.expect_tag("MLP1");
-  const std::size_t m = static_cast<std::size_t>(r.u64());
-  MlpaAccumulator acc(m);
-  acc.n_ = static_cast<std::size_t>(r.u64());
-  for (auto& bits : acc.n1_) {
-    for (auto& n1 : bits) n1 = static_cast<std::size_t>(r.u64());
-  }
-  r.f64_into(acc.total_, m);
-  r.f64_into(acc.sum1_, 256 * 8 * m);
+  r.expect_tag("MLP2");
+  MlpaAccumulator acc(read_bucket_width(r, "MlpaAccumulator::load"));
+  acc.buckets_.load(r);
   return acc;
 }
 

@@ -2,26 +2,33 @@
 // behind cpa_attack / dpa_attack / tvla_* and the checkpointed
 // measurements-to-disclosure scan.
 //
-// Each accumulator holds Welford/co-moment running sums per (guess, sample)
-// -- or per (class, sample) for TVLA -- so a campaign streams through once,
-// one batch at a time, in bounded memory.  A snapshot can be taken after any
-// number of traces, which turns MTD from O(grid) full CPA reruns over
-// prefix copies into checkpoints of one accumulator stream.
+// Every CPA/DPA/MLPA hypothesis depends on the plaintext byte p only through
+// S(p ^ k), so the 256 plaintext classes are sufficient statistics: those
+// engines fold each trace once, in O(samples), into PlaintextBuckets, and a
+// snapshot expands the buckets into all 256 key guesses as XOR-convolutions
+// evaluated with a 256-point Walsh-Hadamard transform per sample column.
+// TVLA keeps per-class Welford sums and static power per-guess co-moments.
+// A snapshot can be taken after any number of traces, which turns MTD from
+// O(grid) full CPA reruns over prefix copies into checkpoints of one
+// accumulator stream.
 //
 // Determinism contract (the same contract as util::parallel_for):
-//   * add_batch() parallelizes over fixed sample-column blocks (CPA/TVLA)
-//     or key guesses (DPA).  Each column/guess is updated by exactly one
-//     task in trace order, so the arithmetic sequence per accumulator slot
-//     is identical at any thread count AND for any batching of the same
-//     trace stream: add_batch of n traces is bitwise identical to n calls
-//     of add(), and to any split of the stream into smaller batches.  This
-//     is why MTD checkpoints (which split batches at grid boundaries) do
-//     not perturb the final CPA result by even one ulp.
-//   * merge() combines two accumulators with Chan's parallel co-moment
-//     update.  Merging in a fixed order over fixed-size shards (see
-//     cpa_accumulate_sharded) is thread-count invariant, but is a different
-//     floating-point evaluation than one-pass streaming: the two agree to
-//     ~1e-12 on the statistics, not bitwise.
+//   * The CPA/DPA/MLPA folds are serial in trace order and the TVLA fold
+//     gives each sample column to exactly one task, so the arithmetic
+//     sequence per state slot is identical at any thread count AND for any
+//     batching of the same trace stream: add_batch of n traces is bitwise
+//     identical to n calls of add(), and to any split of the stream into
+//     smaller batches.  This is why MTD checkpoints (which split batches at
+//     grid boundaries) do not perturb the final result by even one ulp.
+//   * snapshot() parallelizes over fixed sample-column blocks; every column
+//     is transformed by one task and the per-block peaks are reduced in
+//     block order, so snapshots are bitwise thread-count invariant too.
+//   * merge() adds counts exactly, adds bucket sums re-shifted onto this
+//     accumulator's reference row, and combines Welford / co-moment state
+//     with Chan's parallel update.  Merging in a fixed order
+//     over fixed-size shards (see cpa_accumulate_sharded) is thread-count
+//     invariant, but is a different floating-point evaluation than one-pass
+//     streaming: the two agree to ~1e-12 on the statistics, not bitwise.
 #pragma once
 
 #include <array>
@@ -37,8 +44,50 @@
 
 namespace pgmcml::sca {
 
+/// Per-plaintext-byte sufficient statistics of a trace stream: a count and
+/// a per-sample sum of the SHIFTED samples (s - ref) for each of the 256
+/// plaintext values.  `ref` is the stream's first trace.  Shifting keeps the
+/// sums at the scale of the trace-to-trace variation instead of the DC
+/// level, so centring them at snapshot time does not cancel away the
+/// signal of a flat (MCML-like) trace.
+/// Memory: 256 x samples doubles plus one reference row.
+class PlaintextBuckets {
+ public:
+  explicit PlaintextBuckets(std::size_t samples);
+
+  std::size_t samples() const { return m_; }
+  std::size_t num_traces() const { return n_; }
+  const std::array<std::uint64_t, 256>& counts() const { return count_; }
+  /// The shift row (all zero until the first trace is folded).
+  const std::vector<double>& reference() const { return ref_; }
+
+  /// Folds a batch serially in trace order (widths checked by the caller).
+  void add_batch(const TraceBatch& batch);
+  /// Adds a disjoint stream's buckets, re-shifted onto this reference.
+  /// Merging into an empty state copies `other` exactly.
+  void merge(const PlaintextBuckets& other);
+
+  /// Walsh-Hadamard spectrum (unnormalized, over the plaintext axis) of the
+  /// centred block D[p][j] = sum_p(s - ref) - n_p * mean(s - ref) for the
+  /// columns [lo, hi), written row-major as 256 x (hi - lo) into `out`.
+  void centred_spectrum(std::size_t lo, std::size_t hi, double* out) const;
+
+  void save(SnapshotWriter& w) const;
+  /// Reads the state save() wrote for a `samples()`-wide bucket set.
+  void load(SnapshotReader& r);
+
+ private:
+  std::size_t m_;
+  std::size_t n_ = 0;
+  std::array<std::uint64_t, 256> count_{};
+  std::vector<double> ref_;
+  std::vector<double> sum_;  ///< 256 rows of m shifted sums
+};
+
 /// Streaming CPA: Pearson correlation between a leakage model of the 256 key
-/// guesses and every sample column, maintained as online co-moments.
+/// guesses and every sample column.  The fold keeps plaintext buckets plus
+/// a Welford mean/m2 per sample column (of the shifted samples); snapshot()
+/// derives the per-guess co-moments and hypothesis variances from them.
 /// Memory: O(samples * 256) doubles, independent of the trace count.
 class CpaAccumulator {
  public:
@@ -46,13 +95,13 @@ class CpaAccumulator {
 
   LeakageModel model() const { return model_; }
   std::size_t samples_per_trace() const { return m_; }
-  std::size_t num_traces() const { return n_; }
+  std::size_t num_traces() const { return buckets_.num_traces(); }
 
   /// Folds one trace into the running sums.
   void add(std::uint8_t plaintext, std::span<const double> trace);
 
-  /// Folds a batch, parallel over fixed 64-column blocks.  Bitwise identical
-  /// to adding each trace with add(), at any thread count.
+  /// Folds a batch in O(samples) per trace.  Bitwise identical to adding
+  /// each trace with add(), at any thread count.
   void add_batch(const TraceBatch& batch);
 
   /// Chan-merge of a disjoint accumulator over the same model/samples.
@@ -60,6 +109,7 @@ class CpaAccumulator {
 
   /// Correlation snapshot after any number of traces (best_guess = -1 while
   /// fewer than 2 traces have been seen, matching the batch attack).
+  /// Parallel over fixed column blocks; bitwise thread-count invariant.
   CpaResult snapshot(bool keep_time_curves = false) const;
 
   /// Bitwise state serialization: load(save(x)) resumes the identical
@@ -70,34 +120,26 @@ class CpaAccumulator {
  private:
   LeakageModel model_;
   std::size_t m_;
-  std::size_t n_ = 0;
-  // Welford state for the per-guess predictions h (plaintext-only, shared by
-  // all sample columns) ...
-  std::array<double, 256> mean_h_{};
-  std::array<double, 256> m2_h_{};
-  // ... and per sample column for the measurements s ...
+  PlaintextBuckets buckets_;
+  // Welford state per sample column of the shifted samples s - ref.
   std::vector<double> mean_s_;
   std::vector<double> m2_s_;
-  // ... plus the co-moment sum_i (h_i - mean_h)(s_i - mean_s) per
-  // (sample, guess).
-  std::vector<std::array<double, 256>> comoment_;
-  // Scratch reused across batches: dh_old_[i][k] = h_i[k] - mean_h_before_i.
-  std::vector<std::array<double, 256>> dh_old_;
 };
 
 /// Streaming difference-of-means DPA (partition on the predicted S-box bit
-/// for each guess).  Memory: O(256 * samples) doubles.
+/// 0 for each guess), derived from plaintext buckets at snapshot time.
+/// Memory: O(256 * samples) doubles.
 class DpaAccumulator {
  public:
   explicit DpaAccumulator(std::size_t samples);
 
   std::size_t samples_per_trace() const { return m_; }
-  std::size_t num_traces() const { return n_; }
+  std::size_t num_traces() const { return buckets_.num_traces(); }
 
   void add(std::uint8_t plaintext, std::span<const double> trace);
-  /// Parallel over the 256 guesses; bitwise identical to serial add().
+  /// Serial O(samples) fold per trace; bitwise identical to serial add().
   void add_batch(const TraceBatch& batch);
-  /// Exact partition-sum merge (element-wise addition).
+  /// Exact count merge plus re-shifted bucket sums.
   void merge(const DpaAccumulator& other);
   DpaResult snapshot() const;
 
@@ -107,10 +149,7 @@ class DpaAccumulator {
 
  private:
   std::size_t m_;
-  std::size_t n_ = 0;
-  std::array<std::size_t, 256> n1_{};
-  std::vector<double> sum1_;  ///< 256 rows of m samples (bit = 1 partition)
-  std::vector<double> sum0_;  ///< 256 rows of m samples (bit = 0 partition)
+  PlaintextBuckets buckets_;
 };
 
 /// Streaming fixed-vs-random Welch t-test: per-class Welford mean/variance
@@ -197,25 +236,24 @@ class StaticPowerAccumulator {
   std::array<double, 256> comoment_{};
 };
 
-/// Streaming MLPA (Roche & Tavernier, arXiv:0906.0237): partition sums for
-/// every (guess, S-box output bit) pair, combined multi-linearly at snapshot
-/// time.  The per-guess bit-0 partition of classic DPA generalizes to all 8
-/// hypothesis bits; the guess-independent total sum supplies each bit's
-/// complement partition, so the state is one 256 x 8 x samples sum block.
-/// Memory: O(256 * 8 * samples) doubles.
+/// Streaming MLPA (Roche & Tavernier, arXiv:0906.0237): difference-of-means
+/// partitions for every (guess, S-box output bit) pair, combined
+/// multi-linearly at snapshot time.  The per-guess bit-0 partition of
+/// classic DPA generalizes to all 8 hypothesis bits; all 8 x 256 partition
+/// sums are XOR-convolutions of the same plaintext buckets, so the state is
+/// the DPA engine's.
+/// Memory: O(256 * samples) doubles.
 class MlpaAccumulator {
  public:
   explicit MlpaAccumulator(std::size_t samples);
 
   std::size_t samples_per_trace() const { return m_; }
-  std::size_t num_traces() const { return n_; }
+  std::size_t num_traces() const { return buckets_.num_traces(); }
 
   void add(std::uint8_t plaintext, std::span<const double> trace);
-  /// Parallel over the 256 guesses (each task owns its guess's 8 partition
-  /// rows and walks the batch in trace order); the guess-independent total
-  /// row is folded serially.  Bitwise identical to serial add().
+  /// Serial O(samples) fold per trace; bitwise identical to serial add().
   void add_batch(const TraceBatch& batch);
-  /// Exact partition-sum merge (element-wise addition).
+  /// Exact count merge plus re-shifted bucket sums.
   void merge(const MlpaAccumulator& other);
   MlpaResult snapshot() const;
 
@@ -225,10 +263,7 @@ class MlpaAccumulator {
 
  private:
   std::size_t m_;
-  std::size_t n_ = 0;
-  std::vector<double> total_;  ///< sum of all traces (m samples)
-  std::array<std::array<std::size_t, 8>, 256> n1_{};
-  std::vector<double> sum1_;  ///< 256 * 8 rows of m samples (bit = 1)
+  PlaintextBuckets buckets_;
 };
 
 /// Checkpointed measurements-to-disclosure over one accumulator stream.

@@ -35,7 +35,7 @@ class SnapshotWriter {
     u64(v.size());
     raw(v.data(), v.size() * sizeof(double));
   }
-  /// 4-char object tag, e.g. "CPA1"; the reader validates it.
+  /// 4-char object tag, e.g. "CPA2"; the reader validates it.
   void tag(const char (&t)[5]) { raw(t, 4); }
   void bytes(std::string_view s) {
     u64(s.size());

@@ -383,6 +383,65 @@ TEST(Campaign, ResumesAcrossSeparateCoordinatorRuns) {
   std::filesystem::remove_all(spool);
 }
 
+TEST(Campaign, PreviousFormatCheckpointsResumeAsCleanMiss) {
+  const std::string spool = fresh_spool("oldformat");
+  CampaignOptions o = small_options(spool);
+  o.mlpa = true;
+  const CampaignResult first = run_campaign(o);
+  ASSERT_EQ(first.shards_skipped, 0u);
+
+  // Turn every published checkpoint into one the previous CPA/DPA/MLPA
+  // snapshot layout would have left: the old accumulator tags under a valid
+  // checksum and config digest, so only the format tags tell them apart.
+  const std::uint64_t digest = campaign_config_digest(o);
+  std::size_t rewritten = 0;
+  for (const auto& entry : std::filesystem::directory_iterator(spool)) {
+    if (entry.path().extension() != ".ckpt") continue;
+    const std::string path = entry.path().string();
+    std::string raw;
+    {
+      std::FILE* f = std::fopen(path.c_str(), "rb");
+      ASSERT_NE(f, nullptr);
+      char buf[4096];
+      std::size_t got = 0;
+      while ((got = std::fread(buf, 1, sizeof(buf), f)) > 0) {
+        raw.append(buf, got);
+      }
+      std::fclose(f);
+    }
+    std::string body = raw.substr(0, raw.size() - sizeof(std::uint64_t));
+    for (const auto& [now, old] : {std::pair{"CPA2", "CPA1"},
+                                   std::pair{"DPA2", "DPA1"},
+                                   std::pair{"MLP2", "MLP1"}}) {
+      const std::size_t at = body.find(now);
+      ASSERT_NE(at, std::string::npos) << now;
+      body.replace(at, 4, old);
+    }
+    const std::uint64_t checksum = fnv1a64(body);
+    body.append(reinterpret_cast<const char*>(&checksum), sizeof(checksum));
+    std::FILE* f = std::fopen(path.c_str(), "wb");
+    ASSERT_NE(f, nullptr);
+    ASSERT_EQ(std::fwrite(body.data(), 1, body.size(), f), body.size());
+    std::fclose(f);
+    EXPECT_FALSE(load_checkpoint(path, sca::LeakageModel::kHammingWeight,
+                                 o.samples, digest, o.static_power, o.mlpa)
+                     .has_value())
+        << path;
+    ++rewritten;
+  }
+  ASSERT_EQ(rewritten, o.shard_count());
+
+  // Every shard reads as never started: all are redone from scratch, and
+  // the campaign is still bitwise the serial reference.
+  const CampaignResult rerun = run_campaign(o);
+  EXPECT_EQ(rerun.workers_spawned, o.shard_count());
+  EXPECT_EQ(rerun.restarts, 0u);
+  EXPECT_EQ(rerun.shards_skipped, 0u);
+  EXPECT_EQ(rerun.traces_accumulated, o.num_traces);
+  expect_bitwise_equal(rerun, run_campaign_serial(o));
+  std::filesystem::remove_all(spool);
+}
+
 TEST(Campaign, AcquisitionFaultsStayLocalAndDeterministic) {
   const std::string spool = fresh_spool("acqfault");
   CampaignOptions o = small_options(spool);

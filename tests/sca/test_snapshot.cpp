@@ -306,5 +306,52 @@ TEST(Snapshot, LoadRejectsCorruptAccumulatorStreams) {
   EXPECT_THROW(CpaAccumulator::load(wrong), std::runtime_error);
 }
 
+TEST(Snapshot, PreviousFormatTagsAreRejected) {
+  // The bucketed CPA/DPA/MLPA layouts replaced the per-guess ones under new
+  // tags: a stream written by the old layout must fail loudly, not load.
+  const TraceSet ts = synthetic_traces(0x2b, 10, 8);
+  CpaAccumulator cpa(LeakageModel::kHammingWeight, 8);
+  DpaAccumulator dpa(8);
+  MlpaAccumulator mlpa(8);
+  for (std::size_t i = 0; i < ts.num_traces(); ++i) {
+    cpa.add(ts.plaintext(i), ts.trace(i));
+    dpa.add(ts.plaintext(i), ts.trace(i));
+    mlpa.add(ts.plaintext(i), ts.trace(i));
+  }
+  const auto as_old = [](std::string bytes, const char* old_tag) {
+    EXPECT_EQ(bytes[3], '2');
+    std::memcpy(bytes.data(), old_tag, 4);
+    return bytes;
+  };
+  const std::string old_cpa = as_old(serialized(cpa), "CPA1");
+  const std::string old_dpa = as_old(serialized(dpa), "DPA1");
+  const std::string old_mlpa = as_old(serialized(mlpa), "MLP1");
+  SnapshotReader rc(old_cpa);
+  EXPECT_THROW(CpaAccumulator::load(rc), std::runtime_error);
+  SnapshotReader rd(old_dpa);
+  EXPECT_THROW(DpaAccumulator::load(rd), std::runtime_error);
+  SnapshotReader rm(old_mlpa);
+  EXPECT_THROW(MlpaAccumulator::load(rm), std::runtime_error);
+}
+
+TEST(Snapshot, LoadRejectsInconsistentBucketCounts) {
+  DpaAccumulator dpa(4);
+  dpa.add(0x10, std::vector<double>(4, 1.0));
+  dpa.add(0x20, std::vector<double>(4, 2.0));
+  std::string bytes = serialized(dpa);
+  // Layout: tag, u64 samples, u64 traces, then the 256 u64 bucket counts.
+  const std::uint64_t bogus_traces = 3;
+  std::memcpy(bytes.data() + 4 + 8, &bogus_traces, sizeof(bogus_traces));
+  SnapshotReader r(bytes);
+  EXPECT_THROW(DpaAccumulator::load(r), std::runtime_error);
+
+  // A sample count the stream cannot hold is rejected before allocating.
+  std::string huge = serialized(dpa);
+  const std::uint64_t width = std::uint64_t{1} << 40;
+  std::memcpy(huge.data() + 4, &width, sizeof(width));
+  SnapshotReader rh(huge);
+  EXPECT_THROW(DpaAccumulator::load(rh), std::runtime_error);
+}
+
 }  // namespace
 }  // namespace pgmcml::sca
