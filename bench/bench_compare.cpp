@@ -1,6 +1,6 @@
 // Regression gate over two bench manifests:
 //
-//   bench_compare baseline.json current.json \
+//   bench_compare baseline.json current.json
 //       [--default-threshold R] [--threshold name=R]... [--ignore glob]...
 //
 // Every gated metric (better == "lower"/"higher") in the baseline must be

@@ -93,6 +93,14 @@ WorkerCheckpoint fresh_state(const CampaignOptions& o, std::uint64_t shard) {
   return state;
 }
 
+/// Whether `phase` runs under `o`.  Phase VALUES are stable; inactive
+/// phases are skipped over, so a checkpoint resumes into the same phase
+/// whatever toggles are off.
+bool phase_active(const CampaignOptions& o, std::uint32_t phase) {
+  return phase == kPhaseRandom || (phase == kPhaseFixed && o.tvla) ||
+         (phase == kPhaseStatic && o.static_power);
+}
+
 /// The ONE per-shard fold, shared verbatim by the serial reference and the
 /// (possibly crashed-and-resumed) workers: stream the shard's remaining
 /// range phase by phase through the acquisition source into the checkpoint
@@ -105,12 +113,7 @@ void run_shard_range(
     const std::function<void(const WorkerCheckpoint&)>* on_checkpoint,
     const std::function<void()>* heartbeat) {
   for (std::uint32_t phase = state.phase; phase < kPhaseDone; ++phase) {
-    // Phase VALUES are stable; inactive phases are skipped over, so a
-    // checkpoint resumes into the same phase whatever toggles are off.
-    const bool active = phase == kPhaseRandom ||
-                        (phase == kPhaseFixed && o.tvla) ||
-                        (phase == kPhaseStatic && o.static_power);
-    if (!active) continue;
+    if (!phase_active(o, phase)) continue;
     if (state.phase != phase) {
       state.phase = phase;
       state.next_index = state.range_lo;
@@ -151,23 +154,7 @@ void run_shard_range(
     std::size_t last_checkpoint = 0;
     sca::TraceBatch batch;
     while (source->next(batch)) {
-      if (phase == kPhaseRandom) {
-        state.cpa.add_batch(batch);
-        state.dpa.add_batch(batch);
-        if (state.mlpa.has_value()) state.mlpa->add_batch(batch);
-        if (o.tvla) {
-          for (std::size_t i = 0; i < batch.size(); ++i) {
-            state.tvla.add(false, batch.traces[i]);
-          }
-        }
-      } else if (phase == kPhaseFixed) {
-        for (std::size_t i = 0; i < batch.size(); ++i) {
-          state.tvla.add(true, batch.traces[i]);
-        }
-      } else {
-        state.static_awake->add_batch(batch);
-        state.static_asleep->add_batch(batch);
-      }
+      state.attacks.fold(phase, batch, o.tvla);
       // The resume cursor counts ATTEMPTED traces (skipped ones included),
       // read from the source: one next() can span several internal batches
       // when every trace of a batch is skipped.
@@ -234,39 +221,23 @@ void worker_process(const CampaignOptions& o,
   publish(state);
 }
 
+/// Traces each active phase attempted by `state`'s checkpoint: the whole
+/// range of a finished phase, the cursor's prefix of the current one.
+void record_attempts(const CampaignOptions& o, const WorkerCheckpoint& state,
+                     ShardOutcome& outcome) {
+  const auto attempted = [&](std::uint32_t phase) -> std::uint64_t {
+    if (!phase_active(o, phase) || state.phase < phase) return 0;
+    const std::uint64_t end =
+        state.phase == phase ? state.next_index : outcome.range_hi;
+    return end - outcome.range_lo;
+  };
+  outcome.random_attempted = attempted(kPhaseRandom);
+  outcome.fixed_attempted = attempted(kPhaseFixed);
+  outcome.static_attempted = attempted(kPhaseStatic);
+}
+
 // -------------------------------------------------------------------------
 // Index-ordered merge: the single arithmetic path both runs share.
-
-struct MergeOutput {
-  sca::CpaAccumulator cpa;
-  sca::DpaAccumulator dpa;
-  sca::TvlaAccumulator tvla;
-  std::optional<sca::StaticPowerAccumulator> static_awake;
-  std::optional<sca::StaticPowerAccumulator> static_asleep;
-  std::optional<sca::MlpaAccumulator> mlpa;
-  MergeOutput(sca::LeakageModel model, std::size_t samples, bool static_power,
-              bool with_mlpa)
-      : cpa(model, samples), dpa(samples), tvla(samples) {
-    if (static_power) {
-      static_awake.emplace(model, samples, sca::StaticWindow::kAwake);
-      static_asleep.emplace(model, samples, sca::StaticWindow::kAsleep);
-    }
-    if (with_mlpa) mlpa.emplace(samples);
-  }
-};
-
-/// Smallest boundary trace count from which the rank stays 0 to the end of
-/// the (traces, rank) sequence; 0 when the final rank is nonzero.
-std::uint64_t mtd_from_boundaries(
-    const std::vector<std::pair<std::uint64_t, int>>& boundaries) {
-  std::uint64_t mtd = 0;
-  if (boundaries.empty() || boundaries.back().second != 0) return 0;
-  for (auto it = boundaries.rbegin(); it != boundaries.rend(); ++it) {
-    if (it->second != 0) break;
-    mtd = it->first;
-  }
-  return mtd;
-}
 
 /// Merges per-shard states in ascending shard order into `result`.  Absent
 /// states (no durable checkpoint ever published) contribute nothing and
@@ -278,96 +249,27 @@ void merge_checkpoints(
     const std::vector<std::optional<WorkerCheckpoint>>& states,
     CampaignResult& result) {
   obs::ScopedTimer span("campaign.merge");
-  MergeOutput merged(kModel, o.samples, o.static_power, o.mlpa);
-  std::vector<std::pair<std::uint64_t, int>> boundaries;  // (traces, rank)
-  std::vector<std::pair<std::uint64_t, int>> awake_boundaries;
-  std::vector<std::pair<std::uint64_t, int>> asleep_boundaries;
-  std::vector<std::pair<std::uint64_t, int>> mlpa_boundaries;
+  ShardAccumulators merged(kModel, o.samples, o.static_power, o.mlpa);
+  std::vector<ShardAccumulators::Ranks> boundaries;
   for (std::size_t s = 0; s < states.size(); ++s) {
     const std::uint64_t lo = o.shard_lo(s);
     const std::uint64_t hi = o.shard_hi(s);
-    if (!states[s].has_value()) {
-      result.skipped_ranges.push_back({lo, hi, kPhaseRandom});
-      if (o.tvla) result.skipped_ranges.push_back({lo, hi, kPhaseFixed});
-      if (o.static_power) {
-        result.skipped_ranges.push_back({lo, hi, kPhaseStatic});
-      }
-      continue;
-    }
-    const WorkerCheckpoint& st = *states[s];
-    merged.cpa.merge(st.cpa);
-    merged.dpa.merge(st.dpa);
-    merged.tvla.merge(st.tvla);
-    if (merged.static_awake.has_value() && st.static_awake.has_value()) {
-      merged.static_awake->merge(*st.static_awake);
-      merged.static_asleep->merge(*st.static_asleep);
-    }
-    if (merged.mlpa.has_value() && st.mlpa.has_value()) {
-      merged.mlpa->merge(*st.mlpa);
-    }
-    result.diagnostics.merge(st.diagnostics);
-    if (st.phase == kPhaseRandom) {
-      if (st.next_index < hi) {
-        result.skipped_ranges.push_back({st.next_index, hi, kPhaseRandom});
-      }
-      if (o.tvla) result.skipped_ranges.push_back({lo, hi, kPhaseFixed});
-      if (o.static_power) {
-        result.skipped_ranges.push_back({lo, hi, kPhaseStatic});
-      }
-    } else if (st.phase == kPhaseFixed) {
-      if (st.next_index < hi) {
-        result.skipped_ranges.push_back({st.next_index, hi, kPhaseFixed});
-      }
-      if (o.static_power) {
-        result.skipped_ranges.push_back({lo, hi, kPhaseStatic});
-      }
-    } else if (st.phase == kPhaseStatic && st.next_index < hi) {
-      result.skipped_ranges.push_back({st.next_index, hi, kPhaseStatic});
-    }
-    if (o.compute_mtd) {
-      boundaries.emplace_back(merged.cpa.num_traces(),
-                              merged.cpa.snapshot().key_rank(o.key));
-      if (merged.static_awake.has_value()) {
-        awake_boundaries.emplace_back(
-            merged.static_awake->num_traces(),
-            merged.static_awake->snapshot().key_rank(o.key));
-        asleep_boundaries.emplace_back(
-            merged.static_asleep->num_traces(),
-            merged.static_asleep->snapshot().key_rank(o.key));
-      }
-      if (merged.mlpa.has_value()) {
-        mlpa_boundaries.emplace_back(merged.mlpa->num_traces(),
-                                     merged.mlpa->snapshot().key_rank(o.key));
+    // Each active phase the shard never finished is a skipped range: all of
+    // it if the shard never reached the phase, its tail if it stopped there.
+    for (std::uint32_t phase = kPhaseRandom; phase < kPhaseDone; ++phase) {
+      if (!phase_active(o, phase)) continue;
+      if (!states[s].has_value() || states[s]->phase < phase) {
+        result.skipped_ranges.push_back({lo, hi, phase});
+      } else if (states[s]->phase == phase && states[s]->next_index < hi) {
+        result.skipped_ranges.push_back({states[s]->next_index, hi, phase});
       }
     }
+    if (!states[s].has_value()) continue;
+    merged.merge(states[s]->attacks);
+    result.diagnostics.merge(states[s]->diagnostics);
+    if (o.compute_mtd) boundaries.push_back(merged.ranks(o.key));
   }
-  result.traces_accumulated = merged.cpa.num_traces();
-  result.cpa = merged.cpa.snapshot();
-  result.dpa = merged.dpa.snapshot();
-  if (o.tvla) result.tvla = merged.tvla.snapshot();
-  if (merged.static_awake.has_value()) {
-    result.static_awake = merged.static_awake->snapshot();
-    result.static_asleep = merged.static_asleep->snapshot();
-    result.static_traces_accumulated = merged.static_awake->num_traces();
-    result.static_awake_rank = result.static_awake.key_rank(o.key);
-    result.static_asleep_rank = result.static_asleep.key_rank(o.key);
-    result.static_awake_margin = result.static_awake.margin(o.key);
-    result.static_asleep_margin = result.static_asleep.margin(o.key);
-  }
-  if (merged.mlpa.has_value()) {
-    result.mlpa = merged.mlpa->snapshot();
-    result.mlpa_rank = result.mlpa.key_rank(o.key);
-    result.mlpa_margin = result.mlpa.margin(o.key);
-  }
-  result.key_rank = result.cpa.key_rank(o.key);
-  result.margin = result.cpa.margin(o.key);
-  result.mtd = 0;
-  if (o.compute_mtd) {
-    result.mtd = mtd_from_boundaries(boundaries);
-    result.static_awake_mtd = mtd_from_boundaries(awake_boundaries);
-    result.static_asleep_mtd = mtd_from_boundaries(asleep_boundaries);
-    result.mlpa_mtd = mtd_from_boundaries(mlpa_boundaries);
-  }
+  merged.report(o, boundaries, result);
   obs::Registry::global()
       .counter("campaign.traces_merged")
       .add(result.traces_accumulated);
@@ -489,11 +391,7 @@ CampaignResult run_campaign_serial(const CampaignOptions& user_options) {
     outcome.range_lo = state.range_lo;
     outcome.range_hi = state.range_hi;
     outcome.completed = true;
-    outcome.random_attempted = state.range_hi - state.range_lo;
-    outcome.fixed_attempted =
-        options.tvla ? state.range_hi - state.range_lo : 0;
-    outcome.static_attempted =
-        options.static_power ? state.range_hi - state.range_lo : 0;
+    record_attempts(options, state, outcome);
     result.shards.push_back(outcome);
     states.push_back(std::move(state));
   }
@@ -673,22 +571,7 @@ CampaignResult run_campaign(const CampaignOptions& options) {
       const auto bytes = std::filesystem::file_size(
           checkpoint_path(options, s), size_ec);
       if (!size_ec) handles.ckpt_bytes.add(bytes);
-      ShardOutcome& outcome = result.shards[s];
-      const std::uint64_t span_lo = outcome.range_lo;
-      const std::uint64_t full = outcome.range_hi - span_lo;
-      const std::uint64_t partial = state->next_index - span_lo;
-      outcome.random_attempted =
-          state->phase == kPhaseRandom ? partial : full;
-      if (options.tvla) {
-        outcome.fixed_attempted = state->phase < kPhaseFixed  ? 0
-                                  : state->phase == kPhaseFixed ? partial
-                                                                : full;
-      }
-      if (options.static_power) {
-        outcome.static_attempted = state->phase < kPhaseStatic  ? 0
-                                   : state->phase == kPhaseStatic ? partial
-                                                                  : full;
-      }
+      record_attempts(options, *state, result.shards[s]);
     }
     states.push_back(std::move(state));
   }

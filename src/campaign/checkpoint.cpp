@@ -5,7 +5,10 @@
 #include <cstdio>
 #include <cstring>
 #include <exception>
+#include <stdexcept>
+#include <utility>
 
+#include "pgmcml/campaign/campaign.hpp"
 #include "pgmcml/obs/json.hpp"
 #include "pgmcml/sca/snapshot.hpp"
 
@@ -13,7 +16,7 @@ namespace pgmcml::campaign {
 
 namespace {
 
-constexpr char kTag[5] = "PGC1";
+constexpr char kTag[5] = "PGC2";
 
 /// Checkpoint body (everything the checksum covers), appended to `w`.
 void serialize_body(sca::SnapshotWriter& w, const WorkerCheckpoint& state,
@@ -29,22 +32,156 @@ void serialize_body(sca::SnapshotWriter& w, const WorkerCheckpoint& state,
   // Diagnostics ride as their exact JSON round-trip form: one codec for the
   // result cache, the bench manifests and the checkpoint.
   w.bytes(state.diagnostics.to_json_value().dump());
-  state.cpa.save(w);
-  state.dpa.save(w);
-  state.tvla.save(w);
-  // Optional attack accumulators, presence-flagged: the flags are validated
-  // against the loader's expectation, so a toggled-off resume is a miss even
-  // if the digest ever failed to separate the configurations.
-  w.u32(state.static_awake.has_value() ? 1 : 0);
-  if (state.static_awake.has_value()) {
-    state.static_awake->save(w);
-    state.static_asleep->save(w);
+  state.attacks.save(w);
+}
+
+/// Smallest boundary trace count from which the rank stays 0 to the end of
+/// column `col` of the boundary ranks; 0 when the final rank is nonzero.
+std::uint64_t mtd_from_boundaries(
+    const std::vector<ShardAccumulators::Ranks>& boundaries,
+    std::size_t col) {
+  std::uint64_t mtd = 0;
+  if (boundaries.empty() || boundaries.back()[col].second != 0) return 0;
+  for (auto it = boundaries.rbegin(); it != boundaries.rend(); ++it) {
+    if ((*it)[col].second != 0) break;
+    mtd = (*it)[col].first;
   }
-  w.u32(state.mlpa.has_value() ? 1 : 0);
-  if (state.mlpa.has_value()) state.mlpa->save(w);
+  return mtd;
+}
+
+/// Loads the next snapshot stream into `slot`, which was built with the
+/// layout the loader expects; a stream of any other layout throws.
+template <typename Acc>
+void load_into(sca::SnapshotReader& r, Acc& slot) {
+  Acc got = Acc::load(r);
+  bool same = got.samples_per_trace() == slot.samples_per_trace();
+  if constexpr (requires { slot.model(); }) {
+    same = same && got.model() == slot.model();
+  }
+  if constexpr (requires { slot.window(); }) {
+    same = same && got.window() == slot.window();
+  }
+  if (!same) {
+    throw std::runtime_error("checkpoint: accumulator layout mismatch");
+  }
+  slot = std::move(got);
 }
 
 }  // namespace
+
+ShardAccumulators::ShardAccumulators(sca::LeakageModel model,
+                                     std::size_t samples, bool static_power,
+                                     bool with_mlpa)
+    : cpa(model, samples), dpa(samples), tvla(samples) {
+  if (static_power) {
+    static_awake.emplace(model, samples, sca::StaticWindow::kAwake);
+    static_asleep.emplace(model, samples, sca::StaticWindow::kAsleep);
+  }
+  if (with_mlpa) mlpa.emplace(samples);
+}
+
+void ShardAccumulators::fold(std::uint32_t phase,
+                             const sca::TraceBatch& batch, bool with_tvla) {
+  switch (phase) {
+    case kPhaseRandom:
+      cpa.add_batch(batch);
+      dpa.add_batch(batch);
+      if (mlpa) mlpa->add_batch(batch);
+      if (with_tvla) {
+        for (const auto& trace : batch.traces) tvla.add(false, trace);
+      }
+      break;
+    case kPhaseFixed:
+      for (const auto& trace : batch.traces) tvla.add(true, trace);
+      break;
+    case kPhaseStatic:
+      static_awake->add_batch(batch);
+      static_asleep->add_batch(batch);
+      break;
+  }
+}
+
+void ShardAccumulators::merge(const ShardAccumulators& other) {
+  if (static_awake.has_value() != other.static_awake.has_value() ||
+      mlpa.has_value() != other.mlpa.has_value()) {
+    throw std::invalid_argument("ShardAccumulators::merge: layout mismatch");
+  }
+  cpa.merge(other.cpa);
+  dpa.merge(other.dpa);
+  tvla.merge(other.tvla);
+  if (static_awake) {
+    static_awake->merge(*other.static_awake);
+    static_asleep->merge(*other.static_asleep);
+  }
+  if (mlpa) mlpa->merge(*other.mlpa);
+}
+
+ShardAccumulators::Ranks ShardAccumulators::ranks(std::uint8_t key) const {
+  const auto rank = [key](const auto& acc) {
+    return std::pair<std::uint64_t, int>(acc.num_traces(),
+                                         acc.snapshot().key_rank(key));
+  };
+  Ranks out;
+  out.fill({0, -1});
+  out[0] = rank(cpa);
+  if (static_awake) {
+    out[1] = rank(*static_awake);
+    out[2] = rank(*static_asleep);
+  }
+  if (mlpa) out[3] = rank(*mlpa);
+  return out;
+}
+
+void ShardAccumulators::report(const CampaignOptions& o,
+                               const std::vector<Ranks>& boundaries,
+                               CampaignResult& result) const {
+  result.traces_accumulated = cpa.num_traces();
+  result.cpa = cpa.snapshot();
+  result.dpa = dpa.snapshot();
+  if (o.tvla) result.tvla = tvla.snapshot();
+  result.key_rank = result.cpa.key_rank(o.key);
+  result.margin = result.cpa.margin(o.key);
+  result.mtd = mtd_from_boundaries(boundaries, 0);
+  if (static_awake) {
+    result.static_awake = static_awake->snapshot();
+    result.static_asleep = static_asleep->snapshot();
+    result.static_traces_accumulated = static_awake->num_traces();
+    result.static_awake_rank = result.static_awake.key_rank(o.key);
+    result.static_asleep_rank = result.static_asleep.key_rank(o.key);
+    result.static_awake_margin = result.static_awake.margin(o.key);
+    result.static_asleep_margin = result.static_asleep.margin(o.key);
+    result.static_awake_mtd = mtd_from_boundaries(boundaries, 1);
+    result.static_asleep_mtd = mtd_from_boundaries(boundaries, 2);
+  }
+  if (mlpa) {
+    result.mlpa = mlpa->snapshot();
+    result.mlpa_rank = result.mlpa.key_rank(o.key);
+    result.mlpa_margin = result.mlpa.margin(o.key);
+    result.mlpa_mtd = mtd_from_boundaries(boundaries, 3);
+  }
+}
+
+void ShardAccumulators::save(sca::SnapshotWriter& w) const {
+  cpa.save(w);
+  dpa.save(w);
+  tvla.save(w);
+  if (static_awake) {
+    static_awake->save(w);
+    static_asleep->save(w);
+  }
+  if (mlpa) mlpa->save(w);
+}
+
+void ShardAccumulators::load(sca::SnapshotReader& r) {
+  load_into(r, cpa);
+  load_into(r, dpa);
+  load_into(r, tvla);
+  if (static_awake) {
+    load_into(r, *static_awake);
+    load_into(r, *static_asleep);
+  }
+  if (mlpa) load_into(r, *mlpa);
+}
 
 std::uint64_t fnv1a64(std::string_view data) {
   std::uint64_t h = 0xcbf29ce484222325ull;
@@ -111,7 +248,7 @@ std::optional<WorkerCheckpoint> load_checkpoint(const std::string& path,
     sca::SnapshotReader r(body);
     r.expect_tag(kTag);
     if (r.u64() != config_digest) return std::nullopt;
-    WorkerCheckpoint state(model, samples);
+    WorkerCheckpoint state(model, samples, static_power, mlpa);
     state.shard = r.u64();
     state.phase = r.u32();
     state.range_lo = r.u64();
@@ -120,35 +257,10 @@ std::optional<WorkerCheckpoint> load_checkpoint(const std::string& path,
     state.checkpoints_written = r.u64();
     state.diagnostics = spice::FlowDiagnostics::from_json_value(
         obs::json::Value::parse(r.bytes()));
-    state.cpa = sca::CpaAccumulator::load(r);
-    state.dpa = sca::DpaAccumulator::load(r);
-    state.tvla = sca::TvlaAccumulator::load(r);
-    const bool has_static = r.u32() != 0;
-    if (has_static != static_power) return std::nullopt;
-    if (has_static) {
-      state.static_awake = sca::StaticPowerAccumulator::load(r);
-      state.static_asleep = sca::StaticPowerAccumulator::load(r);
-    }
-    const bool has_mlpa = r.u32() != 0;
-    if (has_mlpa != mlpa) return std::nullopt;
-    if (has_mlpa) state.mlpa = sca::MlpaAccumulator::load(r);
+    // A set of a different layout throws (caught below); one that ends
+    // early throws too, and one with extra members leaves bytes unread.
+    state.attacks.load(r);
     if (!r.exhausted()) return std::nullopt;
-    if (state.cpa.model() != model ||
-        state.cpa.samples_per_trace() != samples ||
-        state.dpa.samples_per_trace() != samples ||
-        state.tvla.samples_per_trace() != samples) {
-      return std::nullopt;
-    }
-    if (has_static &&
-        (state.static_awake->samples_per_trace() != samples ||
-         state.static_asleep->samples_per_trace() != samples ||
-         state.static_awake->window() != sca::StaticWindow::kAwake ||
-         state.static_asleep->window() != sca::StaticWindow::kAsleep)) {
-      return std::nullopt;
-    }
-    if (has_mlpa && state.mlpa->samples_per_trace() != samples) {
-      return std::nullopt;
-    }
     if (state.phase > kPhaseDone || state.range_lo > state.range_hi ||
         state.next_index < state.range_lo ||
         state.next_index > state.range_hi) {

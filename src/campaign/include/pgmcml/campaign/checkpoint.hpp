@@ -2,8 +2,8 @@
 //
 // A campaign worker owns one shard -- a fixed global-trace-index range --
 // and periodically snapshots its full analysis state to the spool
-// directory: the CPA/DPA/TVLA accumulators (raw IEEE-754 bytes, so a resume
-// continues the identical arithmetic sequence), the aggregated
+// directory: the shard's attack accumulators (raw IEEE-754 bytes, so a
+// resume continues the identical arithmetic sequence), the aggregated
 // FlowDiagnostics, and the resume cursor (phase + next global index).
 //
 // Durability contract: save_checkpoint writes the snapshot to a temporary
@@ -16,11 +16,14 @@
 // spool directory.
 #pragma once
 
+#include <array>
 #include <cstdint>
 #include <functional>
 #include <optional>
 #include <string>
 #include <string_view>
+#include <utility>
+#include <vector>
 
 #include "pgmcml/sca/accumulator.hpp"
 #include "pgmcml/spice/solve_error.hpp"
@@ -38,10 +41,56 @@ enum : std::uint32_t {
   kPhaseDone = 3,    ///< every active pass complete; the shard is finished
 };
 
-/// Complete resumable state of one shard worker.  The static-power and MLPA
-/// accumulators exist only when the campaign toggles them on; their presence
-/// is part of the checkpoint format (and the options part of the digest), so
-/// a spool written under different toggles reads as a miss.
+struct CampaignOptions;
+struct CampaignResult;
+
+/// The attack accumulators of one shard: the unit the campaign folds,
+/// checkpoints and merges.  CPA, DPA and TVLA are always present; the
+/// static-power pair and MLPA exist only when the campaign toggles them on.
+/// Every modality is wired into the campaign here and nowhere else, so a new
+/// attack is its accumulator plus its entry in these members.
+struct ShardAccumulators {
+  sca::CpaAccumulator cpa;
+  sca::DpaAccumulator dpa;
+  sca::TvlaAccumulator tvla;
+  std::optional<sca::StaticPowerAccumulator> static_awake;
+  std::optional<sca::StaticPowerAccumulator> static_asleep;
+  std::optional<sca::MlpaAccumulator> mlpa;
+
+  ShardAccumulators(sca::LeakageModel model, std::size_t samples,
+                    bool static_power = false, bool with_mlpa = false);
+
+  /// Folds one batch of `phase`'s acquisition into the attacks it feeds:
+  /// random -> CPA, DPA, MLPA and (when `tvla`) TVLA's random class;
+  /// fixed -> TVLA's fixed class; static -> both static-power windows.
+  void fold(std::uint32_t phase, const sca::TraceBatch& batch, bool tvla);
+  /// Chan-merges a disjoint shard's set of the same layout.
+  void merge(const ShardAccumulators& other);
+
+  /// (traces folded, true-key rank) of each MTD-scored attack -- CPA, static
+  /// awake, static asleep, MLPA -- with {0, -1} for an absent one.
+  using Ranks = std::array<std::pair<std::uint64_t, int>, 4>;
+  Ranks ranks(std::uint8_t key) const;
+  /// Writes the verdicts into `result`: snapshots plus rank and margin
+  /// against options.key, and each MTD from `boundaries` (the ranks() after
+  /// every merged shard; empty when MTD is off).
+  void report(const CampaignOptions& options,
+              const std::vector<Ranks>& boundaries,
+              CampaignResult& result) const;
+
+  /// The present accumulators' snapshot streams, in member order.  Each
+  /// stream carries its own tag, so no presence flags are needed.
+  void save(sca::SnapshotWriter& w) const;
+  /// Reads what save() wrote for a set of this layout.  Throws
+  /// std::runtime_error on a malformed stream or a different layout (model,
+  /// samples, window, which members are present).
+  void load(sca::SnapshotReader& r);
+};
+
+/// Complete resumable state of one shard worker.  Which optional attack
+/// accumulators exist is part of the checkpoint layout (and the options part
+/// of the digest), so a spool written under different toggles reads as a
+/// miss.
 struct WorkerCheckpoint {
   std::uint64_t shard = 0;
   std::uint32_t phase = kPhaseRandom;
@@ -51,23 +100,12 @@ struct WorkerCheckpoint {
   /// as attempted -- this is the acquisition cursor, not the fold count).
   std::uint64_t next_index = 0;
   std::uint64_t checkpoints_written = 0;
-  sca::CpaAccumulator cpa;
-  sca::DpaAccumulator dpa;
-  sca::TvlaAccumulator tvla;
-  std::optional<sca::StaticPowerAccumulator> static_awake;
-  std::optional<sca::StaticPowerAccumulator> static_asleep;
-  std::optional<sca::MlpaAccumulator> mlpa;
+  ShardAccumulators attacks;
   spice::FlowDiagnostics diagnostics;
 
   WorkerCheckpoint(sca::LeakageModel model, std::size_t samples,
                    bool static_power = false, bool with_mlpa = false)
-      : cpa(model, samples), dpa(samples), tvla(samples) {
-    if (static_power) {
-      static_awake.emplace(model, samples, sca::StaticWindow::kAwake);
-      static_asleep.emplace(model, samples, sca::StaticWindow::kAsleep);
-    }
-    if (with_mlpa) mlpa.emplace(samples);
-  }
+      : attacks(model, samples, static_power, with_mlpa) {}
 };
 
 /// FNV-1a 64-bit -- the checkpoint checksum and the campaign config digest.
@@ -85,8 +123,9 @@ bool save_checkpoint(const std::string& path, const WorkerCheckpoint& state,
 
 /// Loads and validates a checkpoint.  Returns nullopt -- a clean miss, never
 /// a throw -- on a missing/zero-length/truncated file, checksum mismatch,
-/// config-digest mismatch, or a snapshot whose accumulators do not match
-/// (model, samples, which optional attack accumulators are present).
+/// config-digest mismatch, a previous format, or a snapshot whose
+/// accumulators do not match (model, samples, which optional attack
+/// accumulators are present).
 std::optional<WorkerCheckpoint> load_checkpoint(const std::string& path,
                                                 sca::LeakageModel model,
                                                 std::size_t samples,

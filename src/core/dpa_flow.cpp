@@ -336,43 +336,28 @@ DpaFlowResult run_dpa_flow(const cells::CellLibrary& library,
   DpaFlowResult result;
   result.stats = source->design_stats();
 
-  // One streamed pass feeds every consumer: the CPA engine (checkpointed by
-  // the MTD tracker when requested), the DPA engine, the optional static /
-  // MLPA engines, and -- only when the caller wants the matrix -- the
-  // materialized trace copy.
+  // One streamed pass feeds every consumer: the CPA and DPA engines, the
+  // optional static / MLPA engines, and -- only when the caller wants the
+  // matrix -- the materialized trace copy.  The CPA, static and MLPA engines
+  // are MTD trackers; without compute_mtd their grid is empty, so they fold
+  // exactly like the bare accumulators and finish() reports 0.
   const auto model = sca::LeakageModel::kHammingWeight;
-  // Only the engines the options select are built (DPA always is): each
-  // bucketed engine (CPA, DPA, MLPA) holds a 256 x samples matrix, too big
-  // to allocate speculatively.
-  std::optional<sca::MtdTracker> mtd;
-  std::optional<sca::CpaAccumulator> cpa;
-  if (options.compute_mtd) {
-    mtd.emplace(model, options.samples, options.key, options.num_traces);
-  } else {
-    cpa.emplace(model, options.samples);
-  }
+  const std::size_t expected = options.compute_mtd ? options.num_traces : 0;
+  // Only the engines the options select are built (CPA and DPA always are):
+  // each bucketed engine (CPA, DPA, MLPA) holds a 256 x samples matrix, too
+  // big to allocate speculatively.
+  sca::MtdTracker cpa(model, options.samples, options.key, expected);
   sca::DpaAccumulator dpa(options.samples);
-  std::optional<sca::StaticMtdTracker> st_awake_mtd, st_asleep_mtd;
-  std::optional<sca::StaticPowerAccumulator> st_awake, st_asleep;
-  std::optional<sca::MlpaMtdTracker> mlpa_mtd;
-  std::optional<sca::MlpaAccumulator> mlpa;
+  std::optional<sca::StaticMtdTracker> st_awake, st_asleep;
+  std::optional<sca::MlpaMtdTracker> mlpa;
   if (options.compute_static) {
-    if (options.compute_mtd) {
-      st_awake_mtd.emplace(model, options.samples, sca::StaticWindow::kAwake,
-                           options.key, options.num_traces);
-      st_asleep_mtd.emplace(model, options.samples, sca::StaticWindow::kAsleep,
-                            options.key, options.num_traces);
-    } else {
-      st_awake.emplace(model, options.samples, sca::StaticWindow::kAwake);
-      st_asleep.emplace(model, options.samples, sca::StaticWindow::kAsleep);
-    }
+    st_awake.emplace(model, options.samples, sca::StaticWindow::kAwake,
+                     options.key, expected);
+    st_asleep.emplace(model, options.samples, sca::StaticWindow::kAsleep,
+                      options.key, expected);
   }
   if (options.compute_mlpa) {
-    if (options.compute_mtd) {
-      mlpa_mtd.emplace(options.samples, options.key, options.num_traces);
-    } else {
-      mlpa.emplace(options.samples);
-    }
+    mlpa.emplace(options.samples, options.key, expected);
   }
   if (options.keep_traces) {
     result.traces = sca::TraceSet(options.samples);
@@ -380,14 +365,10 @@ DpaFlowResult run_dpa_flow(const cells::CellLibrary& library,
   }
   sca::TraceBatch batch;
   while (source->next(batch)) {
-    if (mtd) mtd->add_batch(batch);
-    if (cpa) cpa->add_batch(batch);
+    cpa.add_batch(batch);
     dpa.add_batch(batch);
-    if (st_awake_mtd) st_awake_mtd->add_batch(batch);
-    if (st_asleep_mtd) st_asleep_mtd->add_batch(batch);
     if (st_awake) st_awake->add_batch(batch);
     if (st_asleep) st_asleep->add_batch(batch);
-    if (mlpa_mtd) mlpa_mtd->add_batch(batch);
     if (mlpa) mlpa->add_batch(batch);
     if (options.keep_traces) {
       for (std::size_t i = 0; i < batch.size(); ++i) {
@@ -400,27 +381,18 @@ DpaFlowResult run_dpa_flow(const cells::CellLibrary& library,
 
   result.mean_current = source->mean_current();
   result.diagnostics = source->diagnostics();
-  if (mtd) {
-    result.cpa = mtd->snapshot(options.keep_time_curves);
-    result.mtd = mtd->finish();
-  } else {
-    result.cpa = cpa->snapshot(options.keep_time_curves);
-  }
+  result.cpa = cpa.snapshot(options.keep_time_curves);
+  result.mtd = cpa.finish();
   result.dpa = dpa.snapshot();
-  if (st_awake_mtd) {
-    result.static_awake = st_awake_mtd->snapshot();
-    result.static_awake_mtd = st_awake_mtd->finish();
-    result.static_asleep = st_asleep_mtd->snapshot();
-    result.static_asleep_mtd = st_asleep_mtd->finish();
-  } else if (st_awake) {
+  if (st_awake) {
     result.static_awake = st_awake->snapshot();
+    result.static_awake_mtd = st_awake->finish();
     result.static_asleep = st_asleep->snapshot();
+    result.static_asleep_mtd = st_asleep->finish();
   }
-  if (mlpa_mtd) {
-    result.mlpa = mlpa_mtd->snapshot();
-    result.mlpa_mtd = mlpa_mtd->finish();
-  } else if (mlpa) {
+  if (mlpa) {
     result.mlpa = mlpa->snapshot();
+    result.mlpa_mtd = mlpa->finish();
   }
   result.key_rank = result.cpa.key_rank(options.key);
   result.margin = result.cpa.margin(options.key);

@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <cmath>
 #include <stdexcept>
+#include <string>
+#include <utility>
 
 #include "pgmcml/aes/aes.hpp"
 #include "pgmcml/obs/obs.hpp"
@@ -730,171 +732,11 @@ MlpaResult MlpaAccumulator::snapshot() const {
 }
 
 // ---------------------------------------------------------------------------
-// MTD trackers.  All three share the same grid scheme (build the
-// prefix-rerun grid, split batches at grid boundaries, record the true
-// key's rank at each point); only the underlying accumulator differs.
-
-namespace {
-
-void build_mtd_grid(std::size_t expected_traces, std::size_t grid_points,
-                    std::vector<std::size_t>& grid,
-                    std::vector<char>& success) {
-  // Same grid as the prefix-rerun implementation; an empty grid (campaign
-  // too small, degenerate grid) makes finish() report "never disclosed".
-  if (expected_traces >= 4 && grid_points >= 2) {
-    for (std::size_t g = 1; g <= grid_points; ++g) {
-      grid.push_back(
-          std::max<std::size_t>(4, g * expected_traces / grid_points));
-    }
-    success.assign(grid.size(), 0);
-  }
-}
-
-/// Feeds `batch` to `acc` split at the grid boundaries, firing `checkpoint`
-/// whenever the stream crosses one.  `next_grid` is the tracker's cursor by
-/// reference: each checkpoint() call advances it.  Splitting does not
-/// perturb the final accumulator state: add_batch is invariant to any
-/// batching of the stream.
-template <typename Acc, typename CheckpointFn>
-void grid_add_batch(Acc& acc, const TraceBatch& batch,
-                    const std::vector<std::size_t>& grid,
-                    const std::size_t& next_grid, TraceBatch& scratch,
-                    CheckpointFn checkpoint) {
-  std::size_t pos = 0;
-  while (pos < batch.size()) {
-    std::size_t take = batch.size() - pos;
-    if (next_grid < grid.size() && acc.num_traces() < grid[next_grid]) {
-      take = std::min(take, grid[next_grid] - acc.num_traces());
-    }
-    if (pos == 0 && take == batch.size()) {
-      acc.add_batch(batch);
-    } else {
-      scratch.clear();
-      for (std::size_t i = pos; i < pos + take; ++i) {
-        scratch.add(batch.plaintexts[i], batch.traces[i]);
-      }
-      acc.add_batch(scratch);
-    }
-    pos += take;
-    while (next_grid < grid.size() && grid[next_grid] <= acc.num_traces()) {
-      checkpoint();
-    }
-  }
-}
-
-std::size_t finish_mtd_grid(const std::vector<std::size_t>& grid,
-                            const std::vector<char>& success) {
-  for (std::size_t gi = 0; gi < grid.size(); ++gi) {
-    bool stable = true;
-    for (std::size_t gj = gi; gj < grid.size(); ++gj) {
-      stable = stable && success[gj] != 0;
-    }
-    if (stable) return grid[gi];
-  }
-  return 0;
-}
-
-}  // namespace
-
-MtdTracker::MtdTracker(LeakageModel model, std::size_t samples,
-                       std::uint8_t true_key, std::size_t expected_traces,
-                       std::size_t grid_points)
-    : acc_(model, samples), true_key_(true_key) {
-  build_mtd_grid(expected_traces, grid_points, grid_, success_);
-}
-
-void MtdTracker::add(std::uint8_t plaintext, std::span<const double> trace) {
-  TraceBatch one;
-  one.add(plaintext, trace);
-  add_batch(one);
-}
-
-void MtdTracker::checkpoint() {
-  const CpaResult r = acc_.snapshot();
-  success_[next_grid_] = r.key_rank(true_key_) == 0 ? 1 : 0;
-  ++next_grid_;
-}
-
-void MtdTracker::add_batch(const TraceBatch& batch) {
-  grid_add_batch(acc_, batch, grid_, next_grid_, scratch_,
-                 [this] { checkpoint(); });
-}
-
-std::size_t MtdTracker::finish() {
-  // Grid points the stream never reached (skipped acquisitions shortened the
-  // campaign): judge them on the final state, i.e. "the largest prefix we
-  // actually have".
-  while (next_grid_ < grid_.size()) checkpoint();
-  return finish_mtd_grid(grid_, success_);
-}
-
-StaticMtdTracker::StaticMtdTracker(LeakageModel model, std::size_t samples,
-                                   StaticWindow window, std::uint8_t true_key,
-                                   std::size_t expected_traces,
-                                   std::size_t grid_points)
-    : acc_(model, samples, window), true_key_(true_key) {
-  build_mtd_grid(expected_traces, grid_points, grid_, success_);
-}
-
-void StaticMtdTracker::add(std::uint8_t plaintext,
-                           std::span<const double> trace) {
-  TraceBatch one;
-  one.add(plaintext, trace);
-  add_batch(one);
-}
-
-void StaticMtdTracker::checkpoint() {
-  const StaticPowerResult r = acc_.snapshot();
-  success_[next_grid_] = r.key_rank(true_key_) == 0 ? 1 : 0;
-  ++next_grid_;
-}
-
-void StaticMtdTracker::add_batch(const TraceBatch& batch) {
-  grid_add_batch(acc_, batch, grid_, next_grid_, scratch_,
-                 [this] { checkpoint(); });
-}
-
-std::size_t StaticMtdTracker::finish() {
-  while (next_grid_ < grid_.size()) checkpoint();
-  return finish_mtd_grid(grid_, success_);
-}
-
-MlpaMtdTracker::MlpaMtdTracker(std::size_t samples, std::uint8_t true_key,
-                               std::size_t expected_traces,
-                               std::size_t grid_points)
-    : acc_(samples), true_key_(true_key) {
-  build_mtd_grid(expected_traces, grid_points, grid_, success_);
-}
-
-void MlpaMtdTracker::add(std::uint8_t plaintext,
-                         std::span<const double> trace) {
-  TraceBatch one;
-  one.add(plaintext, trace);
-  add_batch(one);
-}
-
-void MlpaMtdTracker::checkpoint() {
-  const MlpaResult r = acc_.snapshot();
-  success_[next_grid_] = r.key_rank(true_key_) == 0 ? 1 : 0;
-  ++next_grid_;
-}
-
-void MlpaMtdTracker::add_batch(const TraceBatch& batch) {
-  grid_add_batch(acc_, batch, grid_, next_grid_, scratch_,
-                 [this] { checkpoint(); });
-}
-
-std::size_t MlpaMtdTracker::finish() {
-  while (next_grid_ < grid_.size()) checkpoint();
-  return finish_mtd_grid(grid_, success_);
-}
-
-// ---------------------------------------------------------------------------
 // Bitwise state serialization.  Every double crosses the boundary as its
 // exact bit pattern (SnapshotWriter::f64), so save/load round-trips resume
 // the identical arithmetic -- the invariant the campaign checkpoint tests
 // pin with memcmp-level comparisons.  Scratch members (is_fixed_scratch_,
-// MtdTracker::scratch_) are deliberately excluded: they carry no state
+// GridMtdTracker::scratch_) are deliberately excluded: they carry no state
 // between batches.  A format change bumps the tag's digit, so a stream of
 // the previous layout fails expect_tag instead of loading as garbage.
 
@@ -914,10 +756,10 @@ void load_exact(SnapshotReader& r, double* data, std::size_t n) {
 }
 
 /// Reads a sample count and rejects one the remaining stream cannot hold as
-/// a 256-row bucket matrix, before anything is allocated for it.
-std::size_t read_bucket_width(SnapshotReader& r, const char* who) {
+/// `rows` rows of doubles, before anything is allocated for it.
+std::size_t read_width(SnapshotReader& r, std::size_t rows, const char* who) {
   const auto m = static_cast<std::size_t>(r.u64());
-  if (m > r.remaining() / (256 * sizeof(double))) {
+  if (m > r.remaining() / (rows * sizeof(double))) {
     throw std::runtime_error(std::string(who) +
                              ": sample count exceeds stream");
   }
@@ -963,7 +805,7 @@ CpaAccumulator CpaAccumulator::load(SnapshotReader& r) {
   if (model > kMaxLeakageModel) {
     throw std::runtime_error("CpaAccumulator::load: unknown leakage model");
   }
-  const std::size_t m = read_bucket_width(r, "CpaAccumulator::load");
+  const std::size_t m = read_width(r, 256, "CpaAccumulator::load");
   CpaAccumulator acc(static_cast<LeakageModel>(model), m);
   acc.buckets_.load(r);
   r.f64_into(acc.mean_s_, m);
@@ -979,7 +821,7 @@ void DpaAccumulator::save(SnapshotWriter& w) const {
 
 DpaAccumulator DpaAccumulator::load(SnapshotReader& r) {
   r.expect_tag("DPA2");
-  DpaAccumulator acc(read_bucket_width(r, "DpaAccumulator::load"));
+  DpaAccumulator acc(read_width(r, 256, "DpaAccumulator::load"));
   acc.buckets_.load(r);
   return acc;
 }
@@ -997,7 +839,7 @@ void TvlaAccumulator::save(SnapshotWriter& w) const {
 
 TvlaAccumulator TvlaAccumulator::load(SnapshotReader& r) {
   r.expect_tag("TVL1");
-  const std::size_t m = static_cast<std::size_t>(r.u64());
+  const std::size_t m = read_width(r, 4, "TvlaAccumulator::load");
   TvlaAccumulator acc(m);
   acc.na_ = static_cast<std::size_t>(r.u64());
   acc.nb_ = static_cast<std::size_t>(r.u64());
@@ -1053,97 +895,139 @@ void MlpaAccumulator::save(SnapshotWriter& w) const {
 
 MlpaAccumulator MlpaAccumulator::load(SnapshotReader& r) {
   r.expect_tag("MLP2");
-  MlpaAccumulator acc(read_bucket_width(r, "MlpaAccumulator::load"));
+  MlpaAccumulator acc(read_width(r, 256, "MlpaAccumulator::load"));
   acc.buckets_.load(r);
   return acc;
 }
 
+// ---------------------------------------------------------------------------
+// GridMtdTracker
+
 namespace {
 
-/// Shared tail of every MTD-tracker snapshot: true key, grid cursor, and
-/// the per-grid-point verdicts.
-void save_grid_state(SnapshotWriter& w, std::uint8_t true_key,
-                     std::size_t next_grid,
-                     const std::vector<std::size_t>& grid,
-                     const std::vector<char>& success) {
-  w.u8(true_key);
-  w.u64(next_grid);
-  w.u64(grid.size());
-  for (const std::size_t g : grid) w.u64(g);
-  for (const char s : success) w.u8(static_cast<std::uint8_t>(s));
-}
-
-void load_grid_state(SnapshotReader& r, const char* who,
-                     std::uint8_t& true_key, std::size_t& next_grid,
-                     std::vector<std::size_t>& grid,
-                     std::vector<char>& success) {
-  true_key = r.u8();
-  next_grid = static_cast<std::size_t>(r.u64());
-  const std::size_t grid_size = static_cast<std::size_t>(r.u64());
-  if (grid_size > r.remaining() / sizeof(std::uint64_t)) {
-    throw std::runtime_error(std::string(who) +
-                             ": grid length exceeds stream");
-  }
-  grid.resize(grid_size);
-  for (auto& g : grid) g = static_cast<std::size_t>(r.u64());
-  success.resize(grid_size);
-  for (auto& s : success) s = static_cast<char>(r.u8());
-  if (next_grid > grid_size) {
-    throw std::runtime_error(std::string(who) + ": grid cursor out of range");
-  }
-}
+/// Snapshot tag of each tracker instantiation.
+template <typename Acc>
+constexpr char kTrackerTag[5] = "";
+template <>
+constexpr char kTrackerTag<CpaAccumulator>[5] = "MTD1";
+template <>
+constexpr char kTrackerTag<StaticPowerAccumulator>[5] = "SMT1";
+template <>
+constexpr char kTrackerTag<MlpaAccumulator>[5] = "MMT1";
 
 }  // namespace
 
-void MtdTracker::save(SnapshotWriter& w) const {
-  w.tag("MTD1");
-  acc_.save(w);
-  save_grid_state(w, true_key_, next_grid_, grid_, success_);
+template <typename Acc>
+GridMtdTracker<Acc>::GridMtdTracker(Acc acc, std::uint8_t true_key,
+                                    std::size_t expected_traces,
+                                    std::size_t grid_points)
+    : acc_(std::move(acc)), true_key_(true_key) {
+  // Same grid as the prefix-rerun implementation; an empty grid (campaign
+  // too small, degenerate grid) makes finish() report "never disclosed".
+  if (expected_traces >= 4 && grid_points >= 2) {
+    for (std::size_t g = 1; g <= grid_points; ++g) {
+      grid_.push_back(
+          std::max<std::size_t>(4, g * expected_traces / grid_points));
+    }
+    success_.assign(grid_.size(), 0);
+  }
 }
 
-MtdTracker MtdTracker::load(SnapshotReader& r) {
-  r.expect_tag("MTD1");
-  CpaAccumulator acc = CpaAccumulator::load(r);
+template <typename Acc>
+void GridMtdTracker<Acc>::add(std::uint8_t plaintext,
+                              std::span<const double> trace) {
+  TraceBatch one;
+  one.add(plaintext, trace);
+  add_batch(one);
+}
+
+template <typename Acc>
+void GridMtdTracker<Acc>::checkpoint() {
+  success_[next_grid_] = acc_.snapshot().key_rank(true_key_) == 0 ? 1 : 0;
+  ++next_grid_;
+}
+
+template <typename Acc>
+void GridMtdTracker<Acc>::add_batch(const TraceBatch& batch) {
+  // Split at the grid boundaries, checkpointing whenever the stream crosses
+  // one.  Splitting does not perturb the final accumulator state: add_batch
+  // is invariant to any batching of the stream.
+  std::size_t pos = 0;
+  while (pos < batch.size()) {
+    std::size_t take = batch.size() - pos;
+    if (next_grid_ < grid_.size() && acc_.num_traces() < grid_[next_grid_]) {
+      take = std::min(take, grid_[next_grid_] - acc_.num_traces());
+    }
+    if (pos == 0 && take == batch.size()) {
+      acc_.add_batch(batch);
+    } else {
+      scratch_.clear();
+      for (std::size_t i = pos; i < pos + take; ++i) {
+        scratch_.add(batch.plaintexts[i], batch.traces[i]);
+      }
+      acc_.add_batch(scratch_);
+    }
+    pos += take;
+    while (next_grid_ < grid_.size() &&
+           grid_[next_grid_] <= acc_.num_traces()) {
+      checkpoint();
+    }
+  }
+}
+
+template <typename Acc>
+std::size_t GridMtdTracker<Acc>::finish() {
+  // Grid points the stream never reached (skipped acquisitions shortened the
+  // campaign): judge them on the final state, i.e. "the largest prefix we
+  // actually have".
+  while (next_grid_ < grid_.size()) checkpoint();
+  for (std::size_t gi = 0; gi < grid_.size(); ++gi) {
+    bool stable = true;
+    for (std::size_t gj = gi; gj < grid_.size(); ++gj) {
+      stable = stable && success_[gj] != 0;
+    }
+    if (stable) return grid_[gi];
+  }
+  return 0;
+}
+
+template <typename Acc>
+void GridMtdTracker<Acc>::save(SnapshotWriter& w) const {
+  w.tag(kTrackerTag<Acc>);
+  acc_.save(w);
+  w.u8(true_key_);
+  w.u64(next_grid_);
+  w.u64(grid_.size());
+  for (const std::size_t g : grid_) w.u64(g);
+  for (const char s : success_) w.u8(static_cast<std::uint8_t>(s));
+}
+
+template <typename Acc>
+GridMtdTracker<Acc> GridMtdTracker<Acc>::load(SnapshotReader& r) {
+  r.expect_tag(kTrackerTag<Acc>);
+  Acc acc = Acc::load(r);
   // expected_traces = 0 builds an empty grid; the recorded one replaces it.
-  MtdTracker tracker(acc.model(), acc.samples_per_trace(), 0, 0);
-  tracker.acc_ = std::move(acc);
-  load_grid_state(r, "MtdTracker::load", tracker.true_key_,
-                  tracker.next_grid_, tracker.grid_, tracker.success_);
+  GridMtdTracker tracker(std::move(acc), r.u8(), 0);
+  tracker.next_grid_ = static_cast<std::size_t>(r.u64());
+  const std::size_t grid_size = static_cast<std::size_t>(r.u64());
+  if (grid_size > r.remaining() / sizeof(std::uint64_t)) {
+    throw std::runtime_error(std::string(kTrackerTag<Acc>) +
+                             " load: grid length exceeds stream");
+  }
+  tracker.grid_.resize(grid_size);
+  for (auto& g : tracker.grid_) g = static_cast<std::size_t>(r.u64());
+  tracker.success_.resize(grid_size);
+  for (auto& s : tracker.success_) s = static_cast<char>(r.u8());
+  if (tracker.next_grid_ > grid_size) {
+    throw std::runtime_error(std::string(kTrackerTag<Acc>) +
+                             " load: grid cursor out of range");
+  }
   return tracker;
 }
 
-void StaticMtdTracker::save(SnapshotWriter& w) const {
-  w.tag("SMT1");
-  acc_.save(w);
-  save_grid_state(w, true_key_, next_grid_, grid_, success_);
-}
-
-StaticMtdTracker StaticMtdTracker::load(SnapshotReader& r) {
-  r.expect_tag("SMT1");
-  StaticPowerAccumulator acc = StaticPowerAccumulator::load(r);
-  StaticMtdTracker tracker(acc.model(), acc.samples_per_trace(),
-                           acc.window(), 0, 0);
-  tracker.acc_ = std::move(acc);
-  load_grid_state(r, "StaticMtdTracker::load", tracker.true_key_,
-                  tracker.next_grid_, tracker.grid_, tracker.success_);
-  return tracker;
-}
-
-void MlpaMtdTracker::save(SnapshotWriter& w) const {
-  w.tag("MMT1");
-  acc_.save(w);
-  save_grid_state(w, true_key_, next_grid_, grid_, success_);
-}
-
-MlpaMtdTracker MlpaMtdTracker::load(SnapshotReader& r) {
-  r.expect_tag("MMT1");
-  MlpaAccumulator acc = MlpaAccumulator::load(r);
-  MlpaMtdTracker tracker(acc.samples_per_trace(), 0, 0);
-  tracker.acc_ = std::move(acc);
-  load_grid_state(r, "MlpaMtdTracker::load", tracker.true_key_,
-                  tracker.next_grid_, tracker.grid_, tracker.success_);
-  return tracker;
-}
+template class GridMtdTracker<CpaAccumulator>;
+template class GridMtdTracker<StaticPowerAccumulator>;
+template class GridMtdTracker<MlpaAccumulator>;
 
 // ---------------------------------------------------------------------------
 

@@ -180,30 +180,4 @@ CpaResult second_order_cpa(const TraceSet& traces, LeakageModel model) {
   return second_order_cpa(source, model);
 }
 
-std::size_t measurements_to_disclosure(TraceSource& source,
-                                       std::uint8_t true_key,
-                                       LeakageModel model,
-                                       std::size_t grid_points) {
-  const std::size_t n = source.size_hint();
-  if (n == 0) {
-    throw std::invalid_argument(
-        "measurements_to_disclosure: source has no size hint to build the "
-        "checkpoint grid from");
-  }
-  MtdTracker tracker(model, source.samples_per_trace(), true_key, n,
-                     grid_points);
-  TraceBatch batch;
-  while (source.next(batch)) tracker.add_batch(batch);
-  return tracker.finish();
-}
-
-std::size_t measurements_to_disclosure(const TraceSet& traces,
-                                       std::uint8_t true_key,
-                                       LeakageModel model,
-                                       std::size_t grid_points) {
-  if (traces.num_traces() < 4 || grid_points < 2) return 0;
-  TraceSetSource source(traces);
-  return measurements_to_disclosure(source, true_key, model, grid_points);
-}
-
 }  // namespace pgmcml::sca

@@ -32,6 +32,7 @@
 #pragma once
 
 #include <array>
+#include <concepts>
 #include <cstdint>
 #include <memory>
 #include <span>
@@ -274,11 +275,37 @@ class MlpaAccumulator {
 /// key's rank at each, and finish() returns the smallest grid point from
 /// which the rank is 0 through the end of the stream -- the same MTD the
 /// O(grid) rerun produced, in a single pass.  The underlying accumulator
-/// doubles as the full-set CPA result (snapshot()).
-class MtdTracker {
+/// doubles as the full-set result (snapshot()).  A campaign too small for a
+/// grid (expected_traces < 4, or grid_points < 2, e.g. expected_traces = 0)
+/// has an empty one: the tracker then folds exactly like the bare
+/// accumulator and finish() returns 0.
+///
+/// `Acc` is CpaAccumulator, StaticPowerAccumulator or MlpaAccumulator (the
+/// instantiations accumulator.cpp provides), named MtdTracker,
+/// StaticMtdTracker and MlpaMtdTracker below.  Besides taking a built
+/// accumulator, each constructs from its accumulator's own arguments
+/// followed by (true_key, expected_traces, grid_points).
+template <typename Acc>
+class GridMtdTracker {
  public:
-  MtdTracker(LeakageModel model, std::size_t samples, std::uint8_t true_key,
-             std::size_t expected_traces, std::size_t grid_points = 16);
+  GridMtdTracker(Acc acc, std::uint8_t true_key, std::size_t expected_traces,
+                 std::size_t grid_points = 16);
+  GridMtdTracker(LeakageModel model, std::size_t samples,
+                 std::uint8_t true_key, std::size_t expected_traces,
+                 std::size_t grid_points = 16)
+    requires std::same_as<Acc, CpaAccumulator>
+      : GridMtdTracker(Acc(model, samples), true_key, expected_traces,
+                       grid_points) {}
+  GridMtdTracker(LeakageModel model, std::size_t samples, StaticWindow window,
+                 std::uint8_t true_key, std::size_t expected_traces,
+                 std::size_t grid_points = 16)
+    requires std::same_as<Acc, StaticPowerAccumulator>
+      : GridMtdTracker(Acc(model, samples, window), true_key, expected_traces,
+                       grid_points) {}
+  GridMtdTracker(std::size_t samples, std::uint8_t true_key,
+                 std::size_t expected_traces, std::size_t grid_points = 16)
+    requires std::same_as<Acc, MlpaAccumulator>
+      : GridMtdTracker(Acc(samples), true_key, expected_traces, grid_points) {}
 
   void add(std::uint8_t plaintext, std::span<const double> trace);
   void add_batch(const TraceBatch& batch);
@@ -287,22 +314,25 @@ class MtdTracker {
   /// against the final state and returns the MTD (0 = never disclosed).
   std::size_t finish();
 
-  /// Full-set CPA over everything streamed so far.
-  CpaResult snapshot(bool keep_time_curves = false) const {
-    return acc_.snapshot(keep_time_curves);
+  /// Full-set result over everything streamed so far (for CPA, optionally
+  /// with the per-sample correlation curves: snapshot(true)).
+  template <typename... Args>
+  auto snapshot(Args... args) const {
+    return acc_.snapshot(args...);
   }
-  const CpaAccumulator& accumulator() const { return acc_; }
+  const Acc& accumulator() const { return acc_; }
 
   /// Bitwise state serialization: the accumulator plus the grid position and
   /// the checkpoint verdicts recorded so far, so a resumed tracker reports
-  /// the same MTD as one that streamed the campaign uninterrupted.
+  /// the same MTD as one that streamed the campaign uninterrupted.  Tagged
+  /// MTD1 (CPA), SMT1 (static power) or MMT1 (MLPA).
   void save(SnapshotWriter& w) const;
-  static MtdTracker load(SnapshotReader& r);
+  static GridMtdTracker load(SnapshotReader& r);
 
  private:
   void checkpoint();
 
-  CpaAccumulator acc_;
+  Acc acc_;
   std::uint8_t true_key_;
   std::vector<std::size_t> grid_;
   std::vector<char> success_;
@@ -310,61 +340,13 @@ class MtdTracker {
   TraceBatch scratch_;
 };
 
-/// MtdTracker's grid/checkpoint scheme over a StaticPowerAccumulator: the
-/// single-pass measurements-to-disclosure of the static-power attack.
-class StaticMtdTracker {
- public:
-  StaticMtdTracker(LeakageModel model, std::size_t samples,
-                   StaticWindow window, std::uint8_t true_key,
-                   std::size_t expected_traces, std::size_t grid_points = 16);
+using MtdTracker = GridMtdTracker<CpaAccumulator>;
+using StaticMtdTracker = GridMtdTracker<StaticPowerAccumulator>;
+using MlpaMtdTracker = GridMtdTracker<MlpaAccumulator>;
 
-  void add(std::uint8_t plaintext, std::span<const double> trace);
-  void add_batch(const TraceBatch& batch);
-  std::size_t finish();
-
-  StaticPowerResult snapshot() const { return acc_.snapshot(); }
-  const StaticPowerAccumulator& accumulator() const { return acc_; }
-
-  void save(SnapshotWriter& w) const;
-  static StaticMtdTracker load(SnapshotReader& r);
-
- private:
-  void checkpoint();
-
-  StaticPowerAccumulator acc_;
-  std::uint8_t true_key_;
-  std::vector<std::size_t> grid_;
-  std::vector<char> success_;
-  std::size_t next_grid_ = 0;
-  TraceBatch scratch_;
-};
-
-/// MtdTracker's grid/checkpoint scheme over an MlpaAccumulator.
-class MlpaMtdTracker {
- public:
-  MlpaMtdTracker(std::size_t samples, std::uint8_t true_key,
-                 std::size_t expected_traces, std::size_t grid_points = 16);
-
-  void add(std::uint8_t plaintext, std::span<const double> trace);
-  void add_batch(const TraceBatch& batch);
-  std::size_t finish();
-
-  MlpaResult snapshot() const { return acc_.snapshot(); }
-  const MlpaAccumulator& accumulator() const { return acc_; }
-
-  void save(SnapshotWriter& w) const;
-  static MlpaMtdTracker load(SnapshotReader& r);
-
- private:
-  void checkpoint();
-
-  MlpaAccumulator acc_;
-  std::uint8_t true_key_;
-  std::vector<std::size_t> grid_;
-  std::vector<char> success_;
-  std::size_t next_grid_ = 0;
-  TraceBatch scratch_;
-};
+extern template class GridMtdTracker<CpaAccumulator>;
+extern template class GridMtdTracker<StaticPowerAccumulator>;
+extern template class GridMtdTracker<MlpaAccumulator>;
 
 /// Shard-parallel CPA: cuts `traces` into fixed `shard_size`-trace shards,
 /// accumulates each shard on the util::parallel_for pool, and merges the

@@ -126,23 +126,4 @@ CpaResult second_order_cpa(const TraceSet& traces,
 CpaResult second_order_cpa(TraceSource& source,
                            LeakageModel model = LeakageModel::kHammingWeight);
 
-/// Smallest number of traces (scanning prefixes on `grid` points) for which
-/// the CPA rank of the true key is 0 and stays 0 on every larger prefix.
-/// Returns 0 when the attack never discloses the key.
-///
-/// Single pass: the campaign streams once through one accumulator whose
-/// state is snapshotted at the grid points (see MtdTracker) -- no prefix
-/// copies, no per-grid-point CPA reruns.
-std::size_t measurements_to_disclosure(const TraceSet& traces,
-                                       std::uint8_t true_key,
-                                       LeakageModel model,
-                                       std::size_t grid_points = 16);
-
-/// Streaming MTD.  The grid is sized from source.size_hint(), which must be
-/// nonzero (throws std::invalid_argument otherwise).
-std::size_t measurements_to_disclosure(TraceSource& source,
-                                       std::uint8_t true_key,
-                                       LeakageModel model,
-                                       std::size_t grid_points = 16);
-
 }  // namespace pgmcml::sca

@@ -13,6 +13,7 @@
 #include <cstdio>
 #include <cstring>
 #include <filesystem>
+#include <functional>
 #include <string>
 #include <thread>
 
@@ -102,9 +103,9 @@ TEST(CampaignCheckpoint, RoundTripsBitwise) {
   state.next_index = 80;
   state.checkpoints_written = 5;
   const std::vector<double> trace(16, 0.25);
-  state.cpa.add(0x11, trace);
-  state.dpa.add(0x11, trace);
-  state.tvla.add(true, trace);
+  state.attacks.cpa.add(0x11, trace);
+  state.attacks.dpa.add(0x11, trace);
+  state.attacks.tvla.add(true, trace);
   state.diagnostics.record_attempt();
   state.diagnostics.record_retry("trace:73", "synthetic");
   state.diagnostics.record_recovery("trace:73");
@@ -122,10 +123,10 @@ TEST(CampaignCheckpoint, RoundTripsBitwise) {
   EXPECT_EQ(loaded->diagnostics.retries, 1u);
   EXPECT_EQ(loaded->diagnostics.recovered, 1u);
   sca::SnapshotWriter a, b;
-  state.cpa.save(a);
-  state.tvla.save(a);
-  loaded->cpa.save(b);
-  loaded->tvla.save(b);
+  state.attacks.cpa.save(a);
+  state.attacks.tvla.save(a);
+  loaded->attacks.cpa.save(b);
+  loaded->attacks.tvla.save(b);
   EXPECT_EQ(a.buffer(), b.buffer());
   std::filesystem::remove_all(spool);
 }
@@ -194,27 +195,29 @@ TEST(CampaignCheckpoint, StaticAndMlpaAccumulatorsRoundTripBitwise) {
   state.range_hi = 24;
   state.next_index = 8;
   const std::vector<double> trace(16, 0.5);
-  state.static_awake->add(0x3c, trace);
-  state.static_asleep->add(0x3c, trace);
-  state.mlpa->add(0x3c, trace);
+  state.attacks.static_awake->add(0x3c, trace);
+  state.attacks.static_asleep->add(0x3c, trace);
+  state.attacks.mlpa->add(0x3c, trace);
 
   ASSERT_TRUE(save_checkpoint(path, state, /*config_digest=*/0xabcd));
   auto loaded = load_checkpoint(path, model, 16, 0xabcd,
                                 /*static_power=*/true, /*mlpa=*/true);
   ASSERT_TRUE(loaded.has_value());
   EXPECT_EQ(loaded->phase, kPhaseStatic);
-  ASSERT_TRUE(loaded->static_awake.has_value());
-  ASSERT_TRUE(loaded->static_asleep.has_value());
-  ASSERT_TRUE(loaded->mlpa.has_value());
-  EXPECT_EQ(loaded->static_awake->window(), sca::StaticWindow::kAwake);
-  EXPECT_EQ(loaded->static_asleep->window(), sca::StaticWindow::kAsleep);
+  ASSERT_TRUE(loaded->attacks.static_awake.has_value());
+  ASSERT_TRUE(loaded->attacks.static_asleep.has_value());
+  ASSERT_TRUE(loaded->attacks.mlpa.has_value());
+  EXPECT_EQ(loaded->attacks.static_awake->window(),
+            sca::StaticWindow::kAwake);
+  EXPECT_EQ(loaded->attacks.static_asleep->window(),
+            sca::StaticWindow::kAsleep);
   sca::SnapshotWriter a, b;
-  state.static_awake->save(a);
-  state.static_asleep->save(a);
-  state.mlpa->save(a);
-  loaded->static_awake->save(b);
-  loaded->static_asleep->save(b);
-  loaded->mlpa->save(b);
+  state.attacks.static_awake->save(a);
+  state.attacks.static_asleep->save(a);
+  state.attacks.mlpa->save(a);
+  loaded->attacks.static_awake->save(b);
+  loaded->attacks.static_asleep->save(b);
+  loaded->attacks.mlpa->save(b);
   EXPECT_EQ(a.buffer(), b.buffer());
 
   // A checkpoint's optional-accumulator layout must match the loader's
@@ -389,27 +392,57 @@ TEST(Campaign, PreviousFormatCheckpointsResumeAsCleanMiss) {
   o.mlpa = true;
   const CampaignResult first = run_campaign(o);
   ASSERT_EQ(first.shards_skipped, 0u);
+  const CampaignResult serial = run_campaign_serial(o);
 
-  // Turn every published checkpoint into one the previous CPA/DPA/MLPA
-  // snapshot layout would have left: the old accumulator tags under a valid
-  // checksum and config digest, so only the format tags tell them apart.
+  // Rewrites every published checkpoint body with `to_old` under a valid
+  // checksum and config digest, so only the format tells old from new; each
+  // must load as a miss, and the rerun must redo every shard from scratch
+  // and still be bitwise the serial reference.
   const std::uint64_t digest = campaign_config_digest(o);
-  std::size_t rewritten = 0;
-  for (const auto& entry : std::filesystem::directory_iterator(spool)) {
-    if (entry.path().extension() != ".ckpt") continue;
-    const std::string path = entry.path().string();
-    std::string raw;
-    {
-      std::FILE* f = std::fopen(path.c_str(), "rb");
-      ASSERT_NE(f, nullptr);
-      char buf[4096];
-      std::size_t got = 0;
-      while ((got = std::fread(buf, 1, sizeof(buf), f)) > 0) {
-        raw.append(buf, got);
-      }
-      std::fclose(f);
-    }
-    std::string body = raw.substr(0, raw.size() - sizeof(std::uint64_t));
+  const auto expect_rewritten_spool_rerun =
+      [&](const std::function<void(std::string&)>& to_old) {
+        std::size_t rewritten = 0;
+        for (const auto& entry : std::filesystem::directory_iterator(spool)) {
+          if (entry.path().extension() != ".ckpt") continue;
+          const std::string path = entry.path().string();
+          std::string raw;
+          {
+            std::FILE* f = std::fopen(path.c_str(), "rb");
+            ASSERT_NE(f, nullptr);
+            char buf[4096];
+            std::size_t got = 0;
+            while ((got = std::fread(buf, 1, sizeof(buf), f)) > 0) {
+              raw.append(buf, got);
+            }
+            std::fclose(f);
+          }
+          std::string body = raw.substr(0, raw.size() - sizeof(std::uint64_t));
+          to_old(body);
+          const std::uint64_t checksum = fnv1a64(body);
+          body.append(reinterpret_cast<const char*>(&checksum),
+                      sizeof(checksum));
+          std::FILE* f = std::fopen(path.c_str(), "wb");
+          ASSERT_NE(f, nullptr);
+          ASSERT_EQ(std::fwrite(body.data(), 1, body.size(), f), body.size());
+          std::fclose(f);
+          EXPECT_FALSE(load_checkpoint(path, sca::LeakageModel::kHammingWeight,
+                                       o.samples, digest, o.static_power,
+                                       o.mlpa)
+                           .has_value())
+              << path;
+          ++rewritten;
+        }
+        ASSERT_EQ(rewritten, o.shard_count());
+        const CampaignResult rerun = run_campaign(o);
+        EXPECT_EQ(rerun.workers_spawned, o.shard_count());
+        EXPECT_EQ(rerun.restarts, 0u);
+        EXPECT_EQ(rerun.shards_skipped, 0u);
+        EXPECT_EQ(rerun.traces_accumulated, o.num_traces);
+        expect_bitwise_equal(rerun, serial);
+      };
+
+  // The previous CPA/DPA/MLPA snapshot layout: the old accumulator tags.
+  expect_rewritten_spool_rerun([](std::string& body) {
     for (const auto& [now, old] : {std::pair{"CPA2", "CPA1"},
                                    std::pair{"DPA2", "DPA1"},
                                    std::pair{"MLP2", "MLP1"}}) {
@@ -417,28 +450,18 @@ TEST(Campaign, PreviousFormatCheckpointsResumeAsCleanMiss) {
       ASSERT_NE(at, std::string::npos) << now;
       body.replace(at, 4, old);
     }
-    const std::uint64_t checksum = fnv1a64(body);
-    body.append(reinterpret_cast<const char*>(&checksum), sizeof(checksum));
-    std::FILE* f = std::fopen(path.c_str(), "wb");
-    ASSERT_NE(f, nullptr);
-    ASSERT_EQ(std::fwrite(body.data(), 1, body.size(), f), body.size());
-    std::fclose(f);
-    EXPECT_FALSE(load_checkpoint(path, sca::LeakageModel::kHammingWeight,
-                                 o.samples, digest, o.static_power, o.mlpa)
-                     .has_value())
-        << path;
-    ++rewritten;
-  }
-  ASSERT_EQ(rewritten, o.shard_count());
+  });
 
-  // Every shard reads as never started: all are redone from scratch, and
-  // the campaign is still bitwise the serial reference.
-  const CampaignResult rerun = run_campaign(o);
-  EXPECT_EQ(rerun.workers_spawned, o.shard_count());
-  EXPECT_EQ(rerun.restarts, 0u);
-  EXPECT_EQ(rerun.shards_skipped, 0u);
-  EXPECT_EQ(rerun.traces_accumulated, o.num_traces);
-  expect_bitwise_equal(rerun, run_campaign_serial(o));
+  // The previous checkpoint layout: a PGC1 body, whose optional
+  // accumulators followed u32 presence flags (static power off, MLPA on).
+  expect_rewritten_spool_rerun([](std::string& body) {
+    ASSERT_EQ(body.compare(0, 4, "PGC2"), 0);
+    body.replace(0, 4, "PGC1");
+    const std::size_t mlpa_at = body.find("MLP2");
+    ASSERT_NE(mlpa_at, std::string::npos);
+    const std::uint32_t flags[2] = {0, 1};
+    body.insert(mlpa_at, reinterpret_cast<const char*>(flags), sizeof(flags));
+  });
   std::filesystem::remove_all(spool);
 }
 

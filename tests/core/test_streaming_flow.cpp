@@ -4,6 +4,7 @@
 // flow through the streaming path unchanged.
 #include <gtest/gtest.h>
 
+#include <cstring>
 #include <stdexcept>
 #include <vector>
 
@@ -269,6 +270,49 @@ TEST(StreamingFlow, MlpaRidesTheDynamicFlow) {
     EXPECT_EQ(r.mlpa.score[k], batch.score[k]);  // bitwise
   }
   EXPECT_EQ(r.mlpa.best_guess, batch.best_guess);
+}
+
+TEST(StreamingFlow, ComputeMtdLeavesEveryAttackResultBitwiseIdentical) {
+  // With compute_mtd the CPA, static and MLPA trackers split batches at
+  // their grid points; without it their grid is empty and they fold the
+  // stream unsplit.  No attack result may move by one ulp: only the MTDs
+  // differ.
+  DpaFlowOptions off;
+  off.num_traces = 400;
+  off.samples = 200;
+  off.acquisition = AcquisitionMode::kStatic;
+  off.compute_static = true;
+  off.compute_mlpa = true;
+  off.keep_traces = false;
+  off.batch_size = 37;  // straddles the grid points
+  DpaFlowOptions on = off;
+  on.compute_mtd = true;
+  const DpaFlowResult a = run_dpa_flow(CellLibrary::cmos90(), off);
+  const DpaFlowResult b = run_dpa_flow(CellLibrary::cmos90(), on);
+
+  const auto same_bits = [](const auto& x, const auto& y) {
+    return std::memcmp(x.data(), y.data(), sizeof(x)) == 0;
+  };
+  EXPECT_TRUE(same_bits(a.cpa.peak_correlation, b.cpa.peak_correlation));
+  EXPECT_TRUE(same_bits(a.dpa.peak_difference, b.dpa.peak_difference));
+  EXPECT_TRUE(same_bits(a.mlpa.score, b.mlpa.score));
+  EXPECT_TRUE(same_bits(a.static_awake.correlation,
+                        b.static_awake.correlation));
+  EXPECT_TRUE(same_bits(a.static_asleep.correlation,
+                        b.static_asleep.correlation));
+  EXPECT_EQ(a.cpa.best_guess, b.cpa.best_guess);
+  EXPECT_EQ(a.dpa.best_guess, b.dpa.best_guess);
+  EXPECT_EQ(a.mlpa.best_guess, b.mlpa.best_guess);
+  EXPECT_EQ(a.static_awake.traces, b.static_awake.traces);
+  EXPECT_EQ(a.static_asleep.traces, b.static_asleep.traces);
+  EXPECT_EQ(a.key_rank, b.key_rank);
+  EXPECT_EQ(std::memcmp(&a.margin, &b.margin, sizeof(a.margin)), 0);
+
+  EXPECT_EQ(a.mtd, 0u);
+  EXPECT_EQ(a.static_awake_mtd, 0u);
+  EXPECT_EQ(a.static_asleep_mtd, 0u);
+  EXPECT_EQ(a.mlpa_mtd, 0u);
+  EXPECT_GT(b.static_awake_mtd, 0u) << "the MTD fields do differ";
 }
 
 TEST(StreamingFlow, RejectsZeroBatchSize) {

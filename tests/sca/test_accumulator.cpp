@@ -379,13 +379,9 @@ TEST(MtdTracker, CheckpointedScanMatchesPrefixRerun) {
   ASSERT_GT(oracle, 0u);
   ASSERT_LT(oracle, 2000u);
 
-  // The public entry point (single pass under the hood)...
-  EXPECT_EQ(measurements_to_disclosure(ts, key, LeakageModel::kHammingWeight, 8),
-            oracle);
-
-  // ...and the tracker fed in awkward batch sizes that straddle every grid
-  // boundary.
-  for (std::size_t batch_size : {1ul, 97ul, 613ul}) {
+  // The tracker fed in the default batch size, and in awkward ones that
+  // straddle every grid boundary.
+  for (std::size_t batch_size : {kDefaultTraceBatch, 1ul, 97ul, 613ul}) {
     MtdTracker tracker(LeakageModel::kHammingWeight, ts.samples_per_trace(),
                        key, ts.num_traces(), 8);
     TraceSetSource source(ts, TraceSetSource::kNoLimit, batch_size);
@@ -418,17 +414,23 @@ TEST(MtdTracker, NeverDisclosedAndDegenerateCampaigns) {
     for (auto& v : tr) v = rng.gaussian(0.0, 1.0);
     ts.add(static_cast<std::uint8_t>(rng.bounded(256)), tr);
   }
-  EXPECT_EQ(measurements_to_disclosure(ts, 0x11,
-                                       LeakageModel::kHammingWeight, 4),
+  // Tracker over the first `n` traces, fed in default-size batches.
+  const auto tracked = [&ts](std::size_t n) {
+    MtdTracker tracker(LeakageModel::kHammingWeight, ts.samples_per_trace(),
+                       0x11, n, 4);
+    TraceSetSource source(ts, n);
+    TraceBatch batch;
+    while (source.next(batch)) tracker.add_batch(batch);
+    return tracker.finish();
+  };
+  EXPECT_EQ(tracked(ts.num_traces()),
             prefix_rerun_mtd(ts, 0x11, LeakageModel::kHammingWeight, 4));
 
   // Sub-minimal campaigns report "never disclosed" without checkpointing.
   MtdTracker tiny(LeakageModel::kHammingWeight, 10, 0x11, 3, 4);
   tiny.add(0x01, std::vector<double>(10, 0.0));
   EXPECT_EQ(tiny.finish(), 0u);
-  EXPECT_EQ(measurements_to_disclosure(ts.prefix(3), 0x11,
-                                       LeakageModel::kHammingWeight, 4),
-            0u);
+  EXPECT_EQ(tracked(3), 0u);
 }
 
 TEST(SecondOrderCpa, StreamingMatchesTraceSetEntryPoint) {

@@ -163,6 +163,39 @@ TEST(Snapshot, MtdTrackerResumesToSameDisclosure) {
             serialized(straight.accumulator()));
 }
 
+TEST(Snapshot, MtdTrackerStreamsKeepTheirLayout) {
+  // Every tracker writes its tag, its accumulator's own stream, then the
+  // true key, the grid cursor, the grid and one verdict byte per point.
+  const std::uint8_t key = 0x2b;
+  const TraceSet ts = synthetic_traces(key, 70);
+  const std::size_t m = ts.samples_per_trace();
+  MtdTracker cpa(LeakageModel::kHammingWeight, m, key, 160);
+  StaticMtdTracker st(LeakageModel::kHammingWeight, m, StaticWindow::kAll, key,
+                      160);
+  MlpaMtdTracker mlpa(m, key, 160);
+  for (std::size_t i = 0; i < ts.num_traces(); ++i) {
+    cpa.add(ts.plaintext(i), ts.trace(i));
+    st.add(ts.plaintext(i), ts.trace(i));
+    mlpa.add(ts.plaintext(i), ts.trace(i));
+  }
+  // 160 expected traces on 16 points: a grid of 10, 20, ..., 160, of which
+  // the 70 traces streamed have reached 7.
+  SnapshotWriter tail;
+  tail.u8(key);
+  tail.u64(7);
+  tail.u64(16);
+  for (std::uint64_t g = 1; g <= 16; ++g) tail.u64(10 * g);
+  const auto expect_layout = [&](const std::string& bytes, const char* tag,
+                                 const std::string& acc) {
+    const std::string head = std::string(tag, 4) + acc + tail.buffer();
+    ASSERT_EQ(bytes.size(), head.size() + 16);
+    EXPECT_EQ(bytes.substr(0, head.size()), head);
+  };
+  expect_layout(serialized(cpa), "MTD1", serialized(cpa.accumulator()));
+  expect_layout(serialized(st), "SMT1", serialized(st.accumulator()));
+  expect_layout(serialized(mlpa), "MMT1", serialized(mlpa.accumulator()));
+}
+
 TEST(Snapshot, StaticPowerResumesBitwise) {
   const TraceSet ts = synthetic_traces(0x2b, 120);
   StaticPowerAccumulator live(LeakageModel::kHammingWeight,
@@ -351,6 +384,20 @@ TEST(Snapshot, LoadRejectsInconsistentBucketCounts) {
   std::memcpy(huge.data() + 4, &width, sizeof(width));
   SnapshotReader rh(huge);
   EXPECT_THROW(DpaAccumulator::load(rh), std::runtime_error);
+}
+
+TEST(Snapshot, TvlaLoadRejectsWidthTheStreamCannotHold) {
+  // A corrupt sample count must not size the four per-sample rows before
+  // anything else is read: m = 2^61 would ask for 2^66 bytes.  It is
+  // rejected up front, as the runtime_error every malformed stream raises.
+  SnapshotWriter w;
+  w.tag("TVL1");
+  w.u64(std::uint64_t{1} << 61);
+  w.u64(1);  // fixed-class traces
+  w.u64(1);  // random-class traces
+  for (int i = 0; i < 8; ++i) w.f64(0.0);
+  SnapshotReader r(w.buffer());
+  EXPECT_THROW(TvlaAccumulator::load(r), std::runtime_error);
 }
 
 }  // namespace
