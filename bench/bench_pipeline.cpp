@@ -183,17 +183,6 @@ int main() {
     return sum;
   }));
 
-  stages.push_back(time_stage("cpa_shard", [&] {
-    // Shard-parallel accumulation with fixed 64-trace shards merged in
-    // ascending order: thread-count invariant by construction.
-    const sca::CpaAccumulator acc = sca::cpa_accumulate_sharded(
-        cpa_input, sca::LeakageModel::kHammingWeight, 64);
-    const sca::CpaResult r = acc.snapshot();
-    double sum = 0.0;
-    for (double v : r.peak_correlation) sum += v;
-    return sum;
-  }));
-
   stages.push_back(time_stage("mtd", [&] {
     // Checkpointed single-pass MTD over the same traces: one accumulator
     // stream, snapshots at the grid points, no prefix reruns.

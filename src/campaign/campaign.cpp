@@ -448,6 +448,22 @@ CampaignResult run_campaign(const CampaignOptions& options) {
   std::vector<ActiveWorker> active;
   std::size_t settled = 0;  // completed + skipped
 
+  // The coordinator's one checkpoint load site.  A finished shard's state is
+  // loaded once, at reap, and held for the merge; only skipped shards'
+  // durable prefixes are loaded after supervision.
+  std::vector<std::optional<WorkerCheckpoint>> states(shards);
+  const auto load_shard = [&](std::uint64_t shard) {
+    const std::string path = checkpoint_path(options, shard);
+    auto state = load_checkpoint(path, kModel, options.samples, digest,
+                                 options.static_power, options.mlpa);
+    if (state.has_value()) {
+      std::error_code size_ec;
+      const auto bytes = std::filesystem::file_size(path, size_ec);
+      if (!size_ec) handles.ckpt_bytes.add(bytes);
+    }
+    return state;
+  };
+
   const auto poll_sleep = std::chrono::duration<double>(
       options.poll_interval_s > 0 ? options.poll_interval_s : 0.01);
   const auto hb_timeout =
@@ -518,10 +534,9 @@ CampaignResult run_campaign(const CampaignOptions& options) {
         const bool clean = WIFEXITED(status) && WEXITSTATUS(status) == 0;
         bool done = false;
         if (clean) {
-          const auto state = load_checkpoint(
-              checkpoint_path(options, w.shard), kModel, options.samples,
-              digest, options.static_power, options.mlpa);
+          auto state = load_shard(w.shard);
           done = state.has_value() && state->phase == kPhaseDone;
+          if (done) states[w.shard] = std::move(state);
         }
         if (done) {
           ShardOutcome& outcome = result.shards[w.shard];
@@ -560,20 +575,11 @@ CampaignResult run_campaign(const CampaignOptions& options) {
 
   // Merge whatever the spool holds, index-ordered: full shards, and the
   // durable prefixes of skipped ones.
-  std::vector<std::optional<WorkerCheckpoint>> states;
-  states.reserve(shards);
   for (std::size_t s = 0; s < shards; ++s) {
-    auto state = load_checkpoint(checkpoint_path(options, s), kModel,
-                                 options.samples, digest,
-                                 options.static_power, options.mlpa);
-    if (state.has_value()) {
-      std::error_code size_ec;
-      const auto bytes = std::filesystem::file_size(
-          checkpoint_path(options, s), size_ec);
-      if (!size_ec) handles.ckpt_bytes.add(bytes);
-      record_attempts(options, *state, result.shards[s]);
+    if (!states[s].has_value()) states[s] = load_shard(s);
+    if (states[s].has_value()) {
+      record_attempts(options, *states[s], result.shards[s]);
     }
-    states.push_back(std::move(state));
   }
   merge_checkpoints(options, states, result);
   return result;

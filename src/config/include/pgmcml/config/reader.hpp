@@ -64,7 +64,6 @@ class Reader {
   double require_positive(std::string_view key) const;
   std::int64_t require_int(std::string_view key, std::int64_t lo,
                            std::int64_t hi) const;
-  bool require_bool(std::string_view key) const;
 
   std::string string_or(std::string_view key, std::string fallback) const;
   double number_or(std::string_view key, double fallback) const;

@@ -50,8 +50,6 @@ enum class RequestOp {
   kPing,    ///< liveness probe; answered without touching the queue
 };
 
-std::string to_string(RequestOp op);
-
 /// One parsed service request.  `experiment` is meaningful only when
 /// op == kRun.
 struct Request {

@@ -130,10 +130,6 @@ std::int64_t Reader::require_int(std::string_view key, std::int64_t lo,
   return static_cast<std::int64_t>(d);
 }
 
-bool Reader::require_bool(std::string_view key) const {
-  return child(key).as_bool();
-}
-
 std::string Reader::string_or(std::string_view key,
                               std::string fallback) const {
   const std::optional<Reader> c = optional_child(key);

@@ -2,15 +2,6 @@
 
 namespace pgmcml::config {
 
-std::string to_string(RequestOp op) {
-  switch (op) {
-    case RequestOp::kRun: return "run";
-    case RequestOp::kStatsz: return "statsz";
-    case RequestOp::kPing: return "ping";
-  }
-  return "ping";
-}
-
 std::string to_string(ResponseStatus status) {
   switch (status) {
     case ResponseStatus::kOk: return "ok";

@@ -74,7 +74,7 @@ class ReducedAesSource final : public AcquisitionSource {
     topt.seed = options_.seed;
     const power::CurrentKernels kernels =
         options_.spice_kernels
-            ? power::kernels_from_spice({}, &baseline_diagnostics_)
+            ? power::kernels_from_spice({}, &diagnostics_)
             : power::default_kernels();
     tracer_ = std::make_unique<power::PowerTracer>(mapped_.design, library_,
                                                    kernels, topt);
@@ -114,7 +114,6 @@ class ReducedAesSource final : public AcquisitionSource {
     }
 
     stats_ = design.stats(library_);
-    diagnostics_ = baseline_diagnostics_;
 
     const std::size_t slots =
         std::min(options_.batch_size, options_.num_traces);
@@ -173,12 +172,6 @@ class ReducedAesSource final : public AcquisitionSource {
       handles.skips.add(batch_skips);
     }
     return !batch.empty();
-  }
-
-  void reset() override {
-    cursor_ = 0;
-    diagnostics_ = baseline_diagnostics_;
-    current_stats_ = util::RunningStats{};
   }
 
   const spice::FlowDiagnostics& diagnostics() const override {
@@ -289,8 +282,7 @@ class ReducedAesSource final : public AcquisitionSource {
   NetId const_net_ = netlist::kNoNet;
   power::SleepSchedule schedule_;
   netlist::Design::Stats stats_;
-  /// Diagnostics at construction (kernel extraction only): reset() target.
-  spice::FlowDiagnostics baseline_diagnostics_;
+  /// Kernel extraction at construction, then every batch produced.
   spice::FlowDiagnostics diagnostics_;
   util::RunningStats current_stats_;
   std::size_t cursor_ = 0;

@@ -122,7 +122,7 @@ struct DpaFlowResult {
 class AcquisitionSource : public sca::TraceSource {
  public:
   /// Aggregated outcomes so far: kernel extraction plus every batch
-  /// produced.  reset() rewinds this to the post-construction state.
+  /// produced.
   virtual const spice::FlowDiagnostics& diagnostics() const = 0;
   /// Mean supply current over the traces produced so far [A].
   virtual double mean_current() const = 0;

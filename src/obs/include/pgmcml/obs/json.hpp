@@ -73,7 +73,6 @@ class Value {
   const std::string& as_string() const;
   const Array& as_array() const;
   const Object& as_object() const;
-  Array& as_array();
   Object& as_object();
 
   /// Object member lookup (first match); nullptr when absent or not an

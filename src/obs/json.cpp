@@ -306,11 +306,6 @@ const Object& Value::as_object() const {
   return std::get<Object>(v_);
 }
 
-Array& Value::as_array() {
-  if (!is_array()) type_error("array");
-  return std::get<Array>(v_);
-}
-
 Object& Value::as_object() {
   if (!is_object()) type_error("object");
   return std::get<Object>(v_);

@@ -2,8 +2,6 @@
 
 #include <algorithm>
 
-#include "pgmcml/util/stats.hpp"
-
 namespace pgmcml::power {
 
 using cells::LogicStyle;
@@ -205,10 +203,6 @@ double PowerTracer::quiescent_current(const netlist::LogicSim& sim,
     }
   }
   return current;
-}
-
-double PowerTracer::average_power(const std::vector<double>& trace) const {
-  return util::mean(trace) * library_.vdd();
 }
 
 double PowerTracer::switched_charge(

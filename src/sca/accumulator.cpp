@@ -1029,42 +1029,4 @@ template class GridMtdTracker<CpaAccumulator>;
 template class GridMtdTracker<StaticPowerAccumulator>;
 template class GridMtdTracker<MlpaAccumulator>;
 
-// ---------------------------------------------------------------------------
-
-CpaAccumulator cpa_accumulate_sharded(const TraceSet& traces,
-                                      LeakageModel model,
-                                      std::size_t shard_size) {
-  if (shard_size == 0) {
-    throw std::invalid_argument("cpa_accumulate_sharded: shard_size == 0");
-  }
-  const std::size_t n = traces.num_traces();
-  const std::size_t m = traces.samples_per_trace();
-  const std::size_t shards = (n + shard_size - 1) / shard_size;
-  if (shards <= 1) {
-    CpaAccumulator acc(model, m);
-    TraceBatch all;
-    for (std::size_t i = 0; i < n; ++i) all.add(traces.plaintext(i), traces.trace(i));
-    acc.add_batch(all);
-    return acc;
-  }
-  std::vector<std::unique_ptr<CpaAccumulator>> parts(shards);
-  util::parallel_for(
-      shards,
-      [&](std::size_t s) {
-        auto acc = std::make_unique<CpaAccumulator>(model, m);
-        TraceBatch batch;
-        const std::size_t lo = s * shard_size;
-        const std::size_t hi = std::min(n, lo + shard_size);
-        for (std::size_t i = lo; i < hi; ++i) {
-          batch.add(traces.plaintext(i), traces.trace(i));
-        }
-        acc->add_batch(batch);
-        parts[s] = std::move(acc);
-      },
-      /*grain=*/1);
-  // Fixed ascending merge order: the result is invariant to thread count.
-  for (std::size_t s = 1; s < shards; ++s) parts[0]->merge(*parts[s]);
-  return std::move(*parts[0]);
-}
-
 }  // namespace pgmcml::sca

@@ -1,8 +1,6 @@
 #include "pgmcml/sca/attack.hpp"
 
 #include <algorithm>
-#include <cmath>
-#include <stdexcept>
 
 #include "pgmcml/aes/aes.hpp"
 #include "pgmcml/sca/accumulator.hpp"
@@ -118,66 +116,6 @@ CpaResult cpa_attack(const TraceSet& traces, LeakageModel model,
                      bool keep_time_curves) {
   TraceSetSource source(traces);
   return cpa_attack(source, model, keep_time_curves);
-}
-
-DpaResult dpa_attack(TraceSource& source) {
-  DpaAccumulator acc(source.samples_per_trace());
-  TraceBatch batch;
-  while (source.next(batch)) acc.add_batch(batch);
-  return acc.snapshot();
-}
-
-DpaResult dpa_attack(const TraceSet& traces) {
-  TraceSetSource source(traces);
-  return dpa_attack(source);
-}
-
-CpaResult second_order_cpa(TraceSource& source, LeakageModel model) {
-  const std::size_t m = source.samples_per_trace();
-
-  // Pass 1: Welford mean trace.
-  std::vector<double> mean(m, 0.0);
-  std::size_t n = 0;
-  TraceBatch batch;
-  while (source.next(batch)) {
-    for (std::size_t i = 0; i < batch.size(); ++i) {
-      const auto& t = batch.traces[i];
-      if (t.size() != m) {
-        throw std::invalid_argument("second_order_cpa: ragged trace");
-      }
-      const double cnt = static_cast<double>(++n);
-      for (std::size_t j = 0; j < m; ++j) {
-        mean[j] += (t[j] - mean[j]) / cnt;
-      }
-    }
-  }
-
-  // Pass 2: center, square per sample, and stream into the CPA engine.  The
-  // squared batch is the only per-pass storage -- no squared TraceSet copy.
-  source.reset();
-  CpaAccumulator acc(model, m);
-  std::vector<std::vector<double>> squared;
-  TraceBatch sq_batch;
-  while (source.next(batch)) {
-    if (squared.size() < batch.size()) squared.resize(batch.size());
-    sq_batch.clear();
-    for (std::size_t i = 0; i < batch.size(); ++i) {
-      const auto& t = batch.traces[i];
-      squared[i].resize(m);
-      for (std::size_t j = 0; j < m; ++j) {
-        const double c = t[j] - mean[j];
-        squared[i][j] = c * c;
-      }
-      sq_batch.add(batch.plaintexts[i], squared[i]);
-    }
-    acc.add_batch(sq_batch);
-  }
-  return acc.snapshot();
-}
-
-CpaResult second_order_cpa(const TraceSet& traces, LeakageModel model) {
-  TraceSetSource source(traces);
-  return second_order_cpa(source, model);
 }
 
 }  // namespace pgmcml::sca

@@ -1,6 +1,7 @@
-// Single-pass, mergeable attack accumulators: the streaming analysis engine
-// behind cpa_attack / dpa_attack / tvla_* and the checkpointed
-// measurements-to-disclosure scan.
+// Single-pass, mergeable attack accumulators: the one way every attack runs
+// (CPA, DPA, TVLA, static power, MLPA), in the flow, the campaign workers
+// and cpa_attack alike, plus the checkpointed measurements-to-disclosure
+// scan.
 //
 // Every CPA/DPA/MLPA hypothesis depends on the plaintext byte p only through
 // S(p ^ k), so the 256 plaintext classes are sufficient statistics: those
@@ -26,7 +27,7 @@
 //   * merge() adds counts exactly, adds bucket sums re-shifted onto this
 //     accumulator's reference row, and combines Welford / co-moment state
 //     with Chan's parallel update.  Merging in a fixed order
-//     over fixed-size shards (see cpa_accumulate_sharded) is thread-count
+//     over fixed trace ranges (the campaign's shard merge) is worker-count
 //     invariant, but is a different floating-point evaluation than one-pass
 //     streaming: the two agree to ~1e-12 on the statistics, not bitwise.
 #pragma once
@@ -34,7 +35,6 @@
 #include <array>
 #include <concepts>
 #include <cstdint>
-#include <memory>
 #include <span>
 #include <vector>
 
@@ -175,7 +175,7 @@ class TvlaAccumulator {
   void merge(const TvlaAccumulator& other);
 
   /// Welch t per sample; empty t_statistic until both classes have >= 2
-  /// traces, matching the batch tvla_t_test.
+  /// traces.
   TvlaResult snapshot() const;
 
   /// Bitwise state serialization (see CpaAccumulator::save).
@@ -347,16 +347,5 @@ using MlpaMtdTracker = GridMtdTracker<MlpaAccumulator>;
 extern template class GridMtdTracker<CpaAccumulator>;
 extern template class GridMtdTracker<StaticPowerAccumulator>;
 extern template class GridMtdTracker<MlpaAccumulator>;
-
-/// Shard-parallel CPA: cuts `traces` into fixed `shard_size`-trace shards,
-/// accumulates each shard on the util::parallel_for pool, and merges the
-/// shard accumulators in ascending index order.  Thread-count invariant by
-/// construction (fixed shards, fixed merge order).  Each in-flight shard
-/// holds an O(samples * 256) accumulator, so prefer plain streaming
-/// (CpaAccumulator::add_batch) unless the shards do independent work anyway
-/// (separate trace files, distributed campaigns).
-CpaAccumulator cpa_accumulate_sharded(const TraceSet& traces,
-                                      LeakageModel model,
-                                      std::size_t shard_size = 1024);
 
 }  // namespace pgmcml::sca

@@ -8,10 +8,12 @@
 // Success metrics: best guess, rank of the true key, distinguishability
 // margin, and measurements-to-disclosure.
 //
-// Every attack here is a thin wrapper over the single-pass accumulator
-// engine (accumulator.hpp): traces stream through once -- from an in-memory
-// TraceSet, a trace file, or live acquisition -- and are folded into
-// mergeable running sums, so a campaign's memory footprint is one batch.
+// This header holds the leakage models and the result types.  Every attack
+// runs one way, through its single-pass accumulator (accumulator.hpp):
+// traces stream through once -- from an in-memory TraceSet, a trace file, or
+// live acquisition -- and are folded into mergeable running sums, so a
+// campaign's memory footprint is one batch.  cpa_attack below is the
+// convenience that folds a whole source into a CpaAccumulator.
 #pragma once
 
 #include <array>
@@ -108,22 +110,5 @@ struct MlpaResult {
   int key_rank(std::uint8_t true_key) const;
   double margin(std::uint8_t true_key) const;
 };
-
-/// Kocher-style difference of means, partitioning on a predicted S-box bit.
-DpaResult dpa_attack(const TraceSet& traces);
-
-/// Streaming difference-of-means DPA over a trace source.
-DpaResult dpa_attack(TraceSource& source);
-
-/// Second-order CPA: centers each trace and squares it sample-wise before
-/// the Pearson stage (the standard univariate 2nd-order preprocessing that
-/// defeats first-order masking; included as evaluation tooling).
-CpaResult second_order_cpa(const TraceSet& traces,
-                           LeakageModel model = LeakageModel::kHammingWeight);
-
-/// Streaming second-order CPA.  Two passes: a Welford mean-trace pass, then
-/// (after source.reset()) a centered-square pass into the CPA engine.
-CpaResult second_order_cpa(TraceSource& source,
-                           LeakageModel model = LeakageModel::kHammingWeight);
 
 }  // namespace pgmcml::sca

@@ -72,7 +72,6 @@ class TraceFileReader final : public TraceSource {
   std::size_t samples_per_trace() const override { return samples_; }
   std::size_t size_hint() const override { return count_; }
   bool next(TraceBatch& batch) override;
-  void reset() override;
 
  private:
   std::FILE* file_ = nullptr;
@@ -81,7 +80,6 @@ class TraceFileReader final : public TraceSource {
   std::size_t count_ = 0;
   std::size_t cursor_ = 0;
   std::size_t batch_size_;
-  bool empty_ = false;  ///< crash-before-first-flush file: clean "no data"
   /// Row buffers reused by every batch (the bounded-memory guarantee).
   std::vector<std::vector<double>> rows_;
 };

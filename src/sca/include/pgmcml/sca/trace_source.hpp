@@ -11,7 +11,11 @@
 // lets the in-memory adapter stream a TraceSet with zero copies and lets
 // generating sources (acquisition, file readers) reuse one set of row
 // buffers for every batch.  A batch's views are valid until the next call to
-// next() or reset() on the source that produced it.
+// next() on the source that produced it.
+//
+// A source is single-pass: every attack is a one-pass accumulator fold, so no
+// consumer rewinds.  Replaying a campaign means building a second source;
+// deterministic sources then yield the identical trace stream.
 #pragma once
 
 #include <cstdint>
@@ -61,17 +65,11 @@ class TraceSource {
   /// Clears `batch` and fills it with the next (up to batch-size) traces.
   /// Returns false -- with `batch` empty -- once the source is exhausted.
   virtual bool next(TraceBatch& batch) = 0;
-
-  /// Rewinds to the first trace, enabling a second pass (second-order CPA's
-  /// mean-then-center passes, re-running an attack with another model).
-  /// Deterministic sources replay the identical trace stream.
-  virtual void reset() = 0;
 };
 
 /// Zero-copy adapter streaming an in-memory TraceSet, optionally limited to
-/// its first `limit` traces.  This is the non-owning replacement for the
-/// O(n * samples) deep copy `TraceSet::prefix` used to make: a prefix attack
-/// is `TraceSetSource(ts, n)` fed to the streaming engine.
+/// its first `limit` traces: a prefix attack is `TraceSetSource(ts, n)` fed
+/// to the streaming engine, with no copy of the prefix.
 class TraceSetSource final : public TraceSource {
  public:
   static constexpr std::size_t kNoLimit = static_cast<std::size_t>(-1);
@@ -82,7 +80,6 @@ class TraceSetSource final : public TraceSource {
   std::size_t samples_per_trace() const override;
   std::size_t size_hint() const override { return total_; }
   bool next(TraceBatch& batch) override;
-  void reset() override { cursor_ = 0; }
 
  private:
   const TraceSet& traces_;

@@ -23,25 +23,7 @@ class TraceSet {
   std::uint8_t plaintext(std::size_t i) const { return plaintexts_.at(i); }
   const std::vector<double>& trace(std::size_t i) const { return data_.at(i); }
 
-  /// Mean trace over all acquisitions.  Accumulated pairwise, so the error
-  /// stays O(log n · eps) even on 10^5-trace campaigns where naive left-to-
-  /// right summation loses digits.
-  std::vector<double> mean_trace() const;
-
-  /// Returns an *owning deep copy* of the first n traces: O(n * samples)
-  /// time and memory.  Analysis code should not use this -- a prefix attack
-  /// is `TraceSetSource(ts, n)` (trace_source.hpp) streamed through the
-  /// accumulator engine, and MTD sweeps checkpoint one accumulator stream
-  /// (MtdTracker) instead of re-attacking prefix copies.  Kept for callers
-  /// that genuinely need an independent owning subset (e.g. handing a
-  /// truncated campaign to a writer while the original keeps growing).
-  TraceSet prefix(std::size_t n) const;
-
  private:
-  /// Adds the column sums of traces [lo, hi) into `acc`, pairwise.
-  void accumulate_pairwise(std::size_t lo, std::size_t hi,
-                           std::vector<double>& acc) const;
-
   std::size_t samples_ = 0;
   std::vector<std::uint8_t> plaintexts_;
   std::vector<std::vector<double>> data_;

@@ -7,16 +7,13 @@
 //
 // This is a methodological extension over the paper's CPA-only evaluation:
 // the same acquisition engine feeds both assessments.
-// All entry points below are thin wrappers over one streaming engine,
-// TvlaAccumulator (accumulator.hpp): per-class Welford sums per sample, so
-// fixed and random populations of any size are assessed in bounded memory.
+// The assessment runs through one streaming engine, TvlaAccumulator
+// (accumulator.hpp): per-class Welford sums per sample, so fixed and random
+// populations of any size are assessed in bounded memory.
 #pragma once
 
 #include <cstddef>
 #include <vector>
-
-#include "pgmcml/sca/trace_source.hpp"
-#include "pgmcml/sca/traces.hpp"
 
 namespace pgmcml::sca {
 
@@ -32,18 +29,5 @@ struct TvlaResult {
   static constexpr double kThreshold = 4.5;
   bool leaks() const { return max_abs_t > kThreshold; }
 };
-
-/// Welch t-test between two trace populations (same sample count per trace).
-TvlaResult tvla_t_test(const std::vector<std::vector<double>>& fixed,
-                       const std::vector<std::vector<double>>& random);
-
-/// Convenience: splits a TraceSet by plaintext -- traces whose plaintext
-/// equals `fixed_plaintext` form the fixed class, the rest the random class.
-TvlaResult tvla_from_traceset(const TraceSet& traces,
-                              std::uint8_t fixed_plaintext);
-
-/// Streaming variant of tvla_from_traceset: classifies each trace of the
-/// source by plaintext and folds it into the running t-test, batch by batch.
-TvlaResult tvla_from_source(TraceSource& source, std::uint8_t fixed_plaintext);
 
 }  // namespace pgmcml::sca

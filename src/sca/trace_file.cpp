@@ -96,21 +96,27 @@ TraceFileReader::TraceFileReader(const std::string& path,
   }
   file_ = std::fopen(path.c_str(), "rb");
   if (file_ == nullptr) io_fail(path_, "cannot open for reading");
+  // The destructor does not run for a throwing constructor: close here.
+  const auto fail = [this](const char* what) {
+    std::fclose(file_);
+    file_ = nullptr;
+    io_fail(path_, what);
+  };
   // A writer that crashed before its first flush leaves a zero-length file
   // (stdio buffers the header), and one that died mid-header-flush leaves
   // fewer bytes than a header.  Neither can contain a single record, so both
   // read as a clean empty campaign ("no data yet"), not as corruption --
   // exactly what a recovering campaign coordinator wants from a spool
   // directory of partially written shards.
-  if (std::fseek(file_, 0, SEEK_END) != 0) io_fail(path_, "seek failed");
+  if (std::fseek(file_, 0, SEEK_END) != 0) fail("seek failed");
   const long file_bytes = std::ftell(file_);
-  if (file_bytes >= 0 && file_bytes < kHeaderBytes) {
+  if (file_bytes < 0) fail("tell failed");
+  if (file_bytes < kHeaderBytes) {
     std::fclose(file_);
     file_ = nullptr;
-    empty_ = true;
     return;
   }
-  if (std::fseek(file_, 0, SEEK_SET) != 0) io_fail(path_, "seek failed");
+  if (std::fseek(file_, 0, SEEK_SET) != 0) fail("seek failed");
   char magic[8];
   std::uint32_t version = 0;
   std::uint32_t samples32 = 0;
@@ -119,41 +125,24 @@ TraceFileReader::TraceFileReader(const std::string& path,
       std::fread(&version, sizeof(version), 1, file_) != 1 ||
       std::fread(&samples32, sizeof(samples32), 1, file_) != 1 ||
       std::fread(&count, sizeof(count), 1, file_) != 1) {
-    std::fclose(file_);
-    file_ = nullptr;
-    io_fail(path_, "truncated header");
+    fail("truncated header");
   }
   if (std::memcmp(magic, kMagic, sizeof(kMagic)) != 0) {
-    std::fclose(file_);
-    file_ = nullptr;
-    io_fail(path_, "bad magic (not a PGMCML trace file)");
+    fail("bad magic (not a PGMCML trace file)");
   }
-  if (version != kVersion) {
-    std::fclose(file_);
-    file_ = nullptr;
-    io_fail(path_, "unsupported version");
-  }
-  if (samples32 == 0) {
-    std::fclose(file_);
-    file_ = nullptr;
-    io_fail(path_, "header declares zero samples per trace");
+  if (version != kVersion) fail("unsupported version");
+  if (samples32 == 0) fail("header declares zero samples per trace");
+  // Validate the payload length against the declared count, so a torn write
+  // surfaces here instead of as a short read mid-campaign.  The count is
+  // bounded by the payload before multiplying: a forged count could
+  // otherwise wrap count * record_bytes onto the real length.
+  const auto payload = static_cast<std::uint64_t>(file_bytes - kHeaderBytes);
+  const std::uint64_t record = record_bytes(samples32);
+  if (count > payload / record || count * record != payload) {
+    fail("length does not match declared trace count (truncated?)");
   }
   samples_ = samples32;
   count_ = count;
-  // Validate the payload length against the declared count, so a torn write
-  // surfaces here instead of as a short read mid-campaign.
-  if (std::fseek(file_, 0, SEEK_END) != 0) io_fail(path_, "seek failed");
-  const long end = std::ftell(file_);
-  const long expect =
-      kHeaderBytes + static_cast<long>(count_ * record_bytes(samples_));
-  if (end != expect) {
-    std::fclose(file_);
-    file_ = nullptr;
-    io_fail(path_, "length does not match declared trace count (truncated?)");
-  }
-  if (std::fseek(file_, kHeaderBytes, SEEK_SET) != 0) {
-    io_fail(path_, "seek failed");
-  }
 }
 
 TraceFileReader::~TraceFileReader() {
@@ -177,15 +166,6 @@ bool TraceFileReader::next(TraceBatch& batch) {
   }
   cursor_ += take;
   return true;
-}
-
-void TraceFileReader::reset() {
-  if (empty_) return;
-  if (file_ == nullptr) io_fail(path_, "reset on closed reader");
-  if (std::fseek(file_, kHeaderBytes, SEEK_SET) != 0) {
-    io_fail(path_, "seek failed");
-  }
-  cursor_ = 0;
 }
 
 // ---------------------------------------------------------------------------

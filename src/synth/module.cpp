@@ -203,16 +203,4 @@ std::vector<Lit> bus_const(Module& m, std::uint64_t value, int width) {
   return out;
 }
 
-std::vector<Lit> bus_mux(Module& m, Lit sel, const std::vector<Lit>& when0,
-                         const std::vector<Lit>& when1) {
-  if (when0.size() != when1.size()) {
-    throw std::invalid_argument("bus_mux: width mismatch");
-  }
-  std::vector<Lit> out(when0.size());
-  for (std::size_t i = 0; i < when0.size(); ++i) {
-    out[i] = m.lmux(sel, when0[i], when1[i]);
-  }
-  return out;
-}
-
 }  // namespace pgmcml::synth

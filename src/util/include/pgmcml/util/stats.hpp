@@ -1,12 +1,10 @@
-// Small statistics toolkit: online accumulators and Pearson correlation.
-// Used by the characterization flows and by the CPA attack engine, where the
-// incremental (single-pass) forms keep the 65k-trace attacks cache friendly.
+// Small statistics toolkit: a Welford accumulator and a few scalar helpers
+// used by the characterization flows, the power composer and the attacks.
 #pragma once
 
 #include <cstddef>
 #include <cstdint>
 #include <span>
-#include <vector>
 
 namespace pgmcml::util {
 
@@ -14,7 +12,6 @@ namespace pgmcml::util {
 class RunningStats {
  public:
   void add(double x);
-  void merge(const RunningStats& other);
 
   std::size_t count() const { return n_; }
   double mean() const { return n_ > 0 ? mean_ : 0.0; }
@@ -36,59 +33,12 @@ class RunningStats {
   double max_ = 0.0;
 };
 
-/// Online accumulator for the Pearson correlation of paired samples.
-///
-/// Maintains co-moments so traces can stream through the attack one at a
-/// time; `correlation()` may be queried after any number of updates.
-class RunningCorrelation {
- public:
-  void add(double x, double y);
-  std::size_t count() const { return n_; }
-  /// Pearson r; returns 0 when either series has zero variance.
-  double correlation() const;
-
- private:
-  std::size_t n_ = 0;
-  double mean_x_ = 0.0;
-  double mean_y_ = 0.0;
-  double m2_x_ = 0.0;
-  double m2_y_ = 0.0;
-  double cov_ = 0.0;
-};
-
 double mean(std::span<const double> xs);
-double variance(std::span<const double> xs);
-double stddev(std::span<const double> xs);
-/// Pearson correlation of two equal-length series (0 if degenerate).
-double pearson(std::span<const double> xs, std::span<const double> ys);
-
-/// Index of the maximum element (0 when empty).
-std::size_t argmax(std::span<const double> xs);
 
 /// Linear interpolation helper: y at `x` on segment (x0,y0)-(x1,y1).
 double lerp(double x0, double y0, double x1, double y1, double x);
 
 /// Population Hamming weight of a 64-bit word.
 int hamming_weight(std::uint64_t v);
-/// Hamming distance between two words.
-int hamming_distance(std::uint64_t a, std::uint64_t b);
-
-/// Simple histogram with uniform bins over [lo, hi).
-class Histogram {
- public:
-  Histogram(double lo, double hi, std::size_t bins);
-  void add(double x);
-  std::size_t bin_count(std::size_t i) const { return counts_.at(i); }
-  std::size_t bins() const { return counts_.size(); }
-  std::size_t total() const { return total_; }
-  double bin_low(std::size_t i) const;
-  double bin_high(std::size_t i) const;
-
- private:
-  double lo_;
-  double hi_;
-  std::vector<std::size_t> counts_;
-  std::size_t total_ = 0;
-};
 
 }  // namespace pgmcml::util

@@ -19,6 +19,7 @@
 
 #include "pgmcml/campaign/campaign.hpp"
 #include "pgmcml/campaign/checkpoint.hpp"
+#include "pgmcml/obs/obs.hpp"
 #include "pgmcml/sca/snapshot.hpp"
 
 namespace pgmcml::campaign {
@@ -252,6 +253,28 @@ TEST(Campaign, DistributedEqualsSerialBitwise) {
   EXPECT_EQ(distributed.restarts, 0u);
   EXPECT_EQ(distributed.traces_accumulated, o.num_traces);
   expect_bitwise_equal(distributed, serial);
+  std::filesystem::remove_all(spool);
+}
+
+TEST(Campaign, CoordinatorReadsEachFinishedCheckpointOnce) {
+  const std::string spool = fresh_spool("readonce");
+  CampaignOptions o = small_options(spool);
+  o.num_workers = 2;
+  const obs::Counter bytes_read =
+      obs::Registry::global().counter("campaign.checkpoint_bytes_read");
+  const std::uint64_t before = bytes_read.value();
+  const CampaignResult r = run_campaign(o);
+  ASSERT_EQ(r.shards_skipped, 0u);
+  ASSERT_EQ(r.restarts, 0u);
+  // The reap loads each final checkpoint and the merge reuses it: the bytes
+  // read equal the spool's final checkpoints once, not twice.
+  std::uintmax_t on_disk = 0;
+  for (std::size_t s = 0; s < o.shard_count(); ++s) {
+    on_disk += std::filesystem::file_size(spool + "/shard-" +
+                                          std::to_string(s) + ".ckpt");
+  }
+  EXPECT_GT(on_disk, 0u);
+  EXPECT_EQ(bytes_read.value() - before, on_disk);
   std::filesystem::remove_all(spool);
 }
 

@@ -4,6 +4,7 @@
 
 #include <unistd.h>
 
+#include <cstdint>
 #include <cstdio>
 #include <string>
 #include <vector>
@@ -59,10 +60,12 @@ TEST(TraceSetSource, LimitIsAPrefixViewWithoutCopying) {
   TraceSetSource limited(ts, 12);
   EXPECT_EQ(limited.size_hint(), 12u);
 
-  // The streamed attack over the limited view is bitwise the attack over the
-  // deep-copied prefix (which is what TraceSet::prefix used to feed).
+  // The streamed attack over the limited view is bitwise the attack over a
+  // deep copy of the first 12 traces.
+  TraceSet head(ts.samples_per_trace());
+  for (std::size_t i = 0; i < 12; ++i) head.add(ts.plaintext(i), ts.trace(i));
   const CpaResult via_view = cpa_attack(limited);
-  const CpaResult via_copy = cpa_attack(ts.prefix(12));
+  const CpaResult via_copy = cpa_attack(head);
   for (int k = 0; k < 256; ++k) {
     EXPECT_EQ(via_view.peak_correlation[k], via_copy.peak_correlation[k]);
   }
@@ -70,22 +73,6 @@ TEST(TraceSetSource, LimitIsAPrefixViewWithoutCopying) {
   // A limit beyond the set clamps to the set.
   TraceSetSource beyond(ts, 99);
   EXPECT_EQ(beyond.size_hint(), 50u);
-}
-
-TEST(TraceSetSource, ResetReplaysIdentically) {
-  const TraceSet ts = make_traces(15, 4);
-  TraceSetSource source(ts, TraceSetSource::kNoLimit, 4);
-  TraceBatch batch;
-  std::vector<std::uint8_t> first_pass;
-  while (source.next(batch)) {
-    for (auto p : batch.plaintexts) first_pass.push_back(p);
-  }
-  source.reset();
-  std::vector<std::uint8_t> second_pass;
-  while (source.next(batch)) {
-    for (auto p : batch.plaintexts) second_pass.push_back(p);
-  }
-  EXPECT_EQ(first_pass, second_pass);
 }
 
 TEST(TraceSetSource, ZeroBatchSizeThrows) {
@@ -113,7 +100,7 @@ TEST(TraceFile, RoundTripIsBitwise) {
   std::remove(path.c_str());
 }
 
-TEST(TraceFile, ReaderStreamsAndRewinds) {
+TEST(TraceFile, ReaderStreamsAndReplays) {
   const TraceSet ts = make_traces(64, 12, 23);
   const std::string path = temp_path("streams.pgtr");
   TraceSetSource source(ts);
@@ -131,11 +118,12 @@ TEST(TraceFile, ReaderStreamsAndRewinds) {
     EXPECT_EQ(from_file.peak_correlation[k], from_memory.peak_correlation[k]);
   }
 
-  // reset() supports a second pass (second-order CPA needs it).
-  reader.reset();
-  std::size_t replayed = 0;
+  // A finished reader stays exhausted; a second reader replays the file.
   TraceBatch batch;
-  while (reader.next(batch)) replayed += batch.size();
+  EXPECT_FALSE(reader.next(batch));
+  TraceFileReader replay(path, /*batch_size=*/9);
+  std::size_t replayed = 0;
+  while (replay.next(batch)) replayed += batch.size();
   EXPECT_EQ(replayed, 64u);
   std::remove(path.c_str());
 }
@@ -192,6 +180,29 @@ TEST(TraceFile, RejectsCorruptInputs) {
   EXPECT_THROW(TraceFileReader{truncated}, std::runtime_error);
   std::remove(truncated.c_str());
 
+  // Forged count: 9^-1 mod 2^64 records of 9 bytes wrap the length product
+  // to exactly the one payload byte present, so the check must bound the
+  // count by the payload rather than multiply.
+  const std::string forged = temp_path("forged-count.pgtr");
+  {
+    std::FILE* f = std::fopen(forged.c_str(), "wb");
+    ASSERT_NE(f, nullptr);
+    const std::uint32_t version = 1;
+    const std::uint32_t samples = 1;
+    const std::uint64_t count = 10248191152060862009ULL;
+    ASSERT_EQ(count * 9, 1u);  // the wrap the forgery relies on
+    const std::uint8_t payload = 0x00;
+    std::fwrite("PGMCMLTR", 8, 1, f);
+    std::fwrite(&version, sizeof(version), 1, f);
+    std::fwrite(&samples, sizeof(samples), 1, f);
+    std::fwrite(&count, sizeof(count), 1, f);
+    std::fwrite(&payload, 1, 1, f);
+    std::fclose(f);
+  }
+  EXPECT_THROW(TraceFileReader{forged}, std::runtime_error);
+  EXPECT_THROW(read_trace_file(forged), std::runtime_error);
+  std::remove(forged.c_str());
+
   // Ragged write is rejected before touching the file.
   const std::string ragged = temp_path("ragged.pgtr");
   TraceFileWriter writer(ragged, 5);
@@ -217,8 +228,6 @@ TEST(TraceFile, CrashBeforeFirstFlushReadsAsCleanEmpty) {
     EXPECT_EQ(reader.samples_per_trace(), 0u);
     EXPECT_EQ(reader.size_hint(), 0u);
     TraceBatch batch;
-    EXPECT_FALSE(reader.next(batch));
-    reader.reset();  // no-op on an empty reader, not an error
     EXPECT_FALSE(reader.next(batch));
     std::remove(path.c_str());
   }

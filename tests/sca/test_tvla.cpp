@@ -1,7 +1,15 @@
+// The fixed-vs-random Welch t-test as TvlaAccumulator runs it: pass/fail
+// behaviour on synthetic populations, under-filled and ragged inputs, and
+// the plaintext classification of a trace stream.
 #include "pgmcml/sca/tvla.hpp"
 
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <vector>
+
+#include "pgmcml/sca/accumulator.hpp"
+#include "pgmcml/sca/trace_source.hpp"
 #include "pgmcml/util/rng.hpp"
 
 namespace pgmcml::sca {
@@ -20,11 +28,21 @@ std::vector<std::vector<double>> noise_traces(util::Rng& rng, int n, int m,
   return out;
 }
 
+/// Folds both populations into one accumulator sized by the first fixed
+/// trace (which throws on any trace of another width).
+TvlaResult welch(const std::vector<std::vector<double>>& fixed,
+                 const std::vector<std::vector<double>>& random) {
+  TvlaAccumulator acc(fixed.front().size());
+  for (const auto& t : fixed) acc.add(/*is_fixed=*/true, t);
+  for (const auto& t : random) acc.add(/*is_fixed=*/false, t);
+  return acc.snapshot();
+}
+
 TEST(Tvla, IdenticalPopulationsPass) {
   util::Rng rng(1);
   const auto fixed = noise_traces(rng, 400, 50);
   const auto random = noise_traces(rng, 400, 50);
-  const TvlaResult r = tvla_t_test(fixed, random);
+  const TvlaResult r = welch(fixed, random);
   EXPECT_FALSE(r.leaks());
   EXPECT_LT(r.max_abs_t, TvlaResult::kThreshold);
   EXPECT_EQ(r.t_statistic.size(), 50u);
@@ -34,7 +52,7 @@ TEST(Tvla, MeanShiftIsDetected) {
   util::Rng rng(2);
   const auto fixed = noise_traces(rng, 400, 50, 0.8, 23);
   const auto random = noise_traces(rng, 400, 50);
-  const TvlaResult r = tvla_t_test(fixed, random);
+  const TvlaResult r = welch(fixed, random);
   EXPECT_TRUE(r.leaks());
   // The leaking sample carries the peak statistic.
   std::size_t peak = 0;
@@ -51,21 +69,21 @@ TEST(Tvla, SensitivityGrowsWithTraces) {
   const auto random_small = noise_traces(rng, 60, 30);
   const auto fixed_big = noise_traces(rng, 2000, 30, shift, 10);
   const auto random_big = noise_traces(rng, 2000, 30);
-  const double t_small = tvla_t_test(fixed_small, random_small).max_abs_t;
-  const double t_big = tvla_t_test(fixed_big, random_big).max_abs_t;
+  const double t_small = welch(fixed_small, random_small).max_abs_t;
+  const double t_big = welch(fixed_big, random_big).max_abs_t;
   EXPECT_GT(t_big, t_small);
-  EXPECT_TRUE(tvla_t_test(fixed_big, random_big).leaks());
+  EXPECT_TRUE(welch(fixed_big, random_big).leaks());
 }
 
 TEST(Tvla, TooFewTracesReturnsEmpty) {
-  const TvlaResult r = tvla_t_test({{1.0}}, {{2.0}});
+  const TvlaResult r = welch({{1.0}}, {{2.0}});
   EXPECT_EQ(r.max_abs_t, 0.0);
   EXPECT_TRUE(r.t_statistic.empty());
 }
 
 TEST(Tvla, RaggedInputThrows) {
   EXPECT_THROW(
-      tvla_t_test({{1.0, 2.0}, {1.0}}, {{1.0, 2.0}, {0.0, 1.0}}),
+      welch({{1.0, 2.0}, {1.0}}, {{1.0, 2.0}, {0.0, 1.0}}),
       std::invalid_argument);
 }
 
@@ -80,7 +98,11 @@ TEST(Tvla, TraceSetSplitter) {
     if (p == 0x55) t[4] += 1.0;  // the fixed class leaks
     ts.add(p, t);
   }
-  const TvlaResult r = tvla_from_traceset(ts, 0x55);
+  TvlaAccumulator acc(ts.samples_per_trace());
+  TraceSetSource source(ts);
+  TraceBatch batch;
+  while (source.next(batch)) acc.add_batch(batch, /*fixed_plaintext=*/0x55);
+  const TvlaResult r = acc.snapshot();
   EXPECT_GT(r.fixed_traces, 90u);
   EXPECT_TRUE(r.leaks());
 }

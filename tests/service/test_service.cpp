@@ -15,6 +15,7 @@
 #include <mutex>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "pgmcml/cache/cache.hpp"
@@ -107,6 +108,26 @@ TEST_F(ServiceTest, PingRoundTrips) {
   EXPECT_EQ(r.id, "p1");
   EXPECT_TRUE(r.report.at("pong").as_bool());
   EXPECT_FALSE(r.report.at("draining").as_bool());
+}
+
+TEST_F(ServiceTest, MovedClientKeepsTheConnection) {
+  Client original = connect();
+  Client moved(std::move(original));
+  EXPECT_FALSE(original.connected());
+  ASSERT_TRUE(moved.connected());
+  EXPECT_TRUE(config::response_from_json(
+                  moved.call(make_simple_request("m1", "ping")))
+                  .ok());
+
+  // Move-assigning over a live connection closes it and takes the other.
+  Client assigned = connect();
+  assigned = std::move(moved);
+  EXPECT_FALSE(moved.connected());
+  ASSERT_TRUE(assigned.connected());
+  const config::Response r = config::response_from_json(
+      assigned.call(make_simple_request("m2", "ping")));
+  EXPECT_TRUE(r.ok());
+  EXPECT_EQ(r.id, "m2");
 }
 
 TEST_F(ServiceTest, StatszReportsCountersQueueAndOptions) {
