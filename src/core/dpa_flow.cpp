@@ -1,6 +1,10 @@
 #include "pgmcml/core/dpa_flow.hpp"
 
 #include <algorithm>
+#include <array>
+#include <atomic>
+#include <bit>
+#include <mutex>
 #include <optional>
 #include <stdexcept>
 #include <string>
@@ -47,17 +51,43 @@ int parse_bus_index(const std::string& name, char prefix, int width) {
   return idx;
 }
 
+/// Obs handles resolved once; batch latency lands in the
+/// "time/core.acquisition.batch" histogram, alongside the counters the
+/// FlowDiagnostics totals already carry per run.
+struct AcquisitionCounters {
+  obs::Counter batches = counter("batches");
+  obs::Counter traces = counter("traces");
+  obs::Counter retries = counter("retries");
+  obs::Counter skips = counter("skips");
+  obs::Counter simulations = counter("simulations");  ///< LogicSim runs
+
+  static obs::Counter counter(const std::string& name) {
+    return obs::Registry::global().counter("core.acquisition." + name);
+  }
+};
+
+AcquisitionCounters& acquisition_counters() {
+  static AcquisitionCounters counters;
+  return counters;
+}
+
 /// The concrete streaming acquisition: synthesis, port lookup, and tracer
-/// construction happen once, then every next() call simulates one batch of
+/// construction happen once, then every next() call produces one batch of
 /// traces into reused per-slot buffers.
 ///
-/// Every trace is an independent simulation: its own LogicSim and its own
-/// RNG stream derived from (seed, global trace index), so the stream is
-/// bitwise identical at any thread count, any batch size, and to the old
-/// materialize-everything acquisition.  A trace whose simulation throws (a
-/// real solver failure or the test-only fault hook) is retried once, then
-/// skipped and recorded — per-trace outcomes live in index-addressed slots
-/// merged in index order, so the aggregate stays deterministic too.
+/// A trace is a pure function of its plaintext plus its own noise: the
+/// tracer freezes per-instance variation at construction, and the noise
+/// stream is keyed on (seed, noise_key, global trace index).  So each
+/// distinct plaintext is simulated and composed once, on first use, into a
+/// per-source memo (a noiseless row for dynamic acquisition, the two
+/// quiescent levels for static), and every trace is that memo entry plus
+/// its own noise -- bitwise identical to simulating the trace afresh, at
+/// any thread count and any batch size.  A trace whose simulation throws (a
+/// real solver failure or the test-only fault hook, which fires before the
+/// memo lookup) is retried once, then skipped and recorded; a fill that
+/// throws caches nothing, so the retry simulates again.  Per-trace outcomes
+/// live in index-addressed slots merged in index order, so the aggregate
+/// stays deterministic too.
 class ReducedAesSource final : public AcquisitionSource {
  public:
   ReducedAesSource(const cells::CellLibrary& library,
@@ -115,6 +145,14 @@ class ReducedAesSource final : public AcquisitionSource {
 
     stats_ = design.stats(library_);
 
+    if (options_.acquisition == AcquisitionMode::kDynamic) {
+      tracer_->compose_into({}, schedule_, floor_);
+      // Uninitialised: only the active spans actually memoised are touched.
+      const std::size_t entries = options_.fixed_plaintext >= 0 ? 1 : 256;
+      pool_ = std::make_unique_for_overwrite<double[]>(entries *
+                                                       options_.samples);
+    }
+
     const std::size_t slots =
         std::min(options_.batch_size, options_.num_traces);
     plaintexts_.assign(slots, 0);
@@ -128,21 +166,7 @@ class ReducedAesSource final : public AcquisitionSource {
 
   bool next(sca::TraceBatch& batch) override {
     batch.clear();
-    // Obs handles resolved once; batch latency lands in the
-    // "time/core.acquisition.batch" histogram, alongside the counters the
-    // FlowDiagnostics totals already carry per run.
-    static struct Handles {
-      obs::Counter batches, traces, retries, skips;
-      Handles()
-          : batches(obs::Registry::global().counter(
-                "core.acquisition.batches")),
-            traces(
-                obs::Registry::global().counter("core.acquisition.traces")),
-            retries(
-                obs::Registry::global().counter("core.acquisition.retries")),
-            skips(obs::Registry::global().counter("core.acquisition.skips")) {
-      }
-    } handles;
+    AcquisitionCounters& counters = acquisition_counters();
     while (batch.empty() && cursor_ < options_.num_traces) {
       obs::ScopedTimer batch_span("core.acquisition.batch");
       const std::size_t base = cursor_;
@@ -166,10 +190,10 @@ class ReducedAesSource final : public AcquisitionSource {
         batch.add(plaintexts_[i], std::span<const double>(rows_[i]));
       }
       cursor_ = base + n;
-      handles.batches.add(1);
-      handles.traces.add(n - batch_skips);
-      handles.retries.add(batch_retries);
-      handles.skips.add(batch_skips);
+      counters.batches.add(1);
+      counters.traces.add(n - batch_skips);
+      counters.retries.add(batch_retries);
+      counters.skips.add(batch_skips);
     }
     return !batch.empty();
   }
@@ -201,30 +225,19 @@ class ReducedAesSource final : public AcquisitionSource {
             options_.fixed_plaintext >= 0
                 ? static_cast<std::uint8_t>(options_.fixed_plaintext)
                 : static_cast<std::uint8_t>(rng.bounded(256));
-
-        const netlist::Design& design = mapped_.design;
-        LogicSim sim(design, &library_);
-        std::vector<std::pair<NetId, bool>> init;
-        for (int b = 0; b < 8; ++b) {
-          init.emplace_back(k_nets_[b], (options_.key >> b) & 1);
-          init.emplace_back(p_nets_[b], false);
-        }
-        if (const_net_ != netlist::kNoNet) init.emplace_back(const_net_, false);
-        sim.apply_and_settle(init);  // precharge state: p = 0, key applied
-        sim.clear_events();
-        sim.run_until(0.5e-9);
-
-        std::vector<std::pair<NetId, bool>> stimulus;
-        for (int b = 0; b < 8; ++b) {
-          stimulus.emplace_back(p_nets_[b], (plaintext >> b) & 1);
-        }
-        sim.apply_and_settle(stimulus);
+        const MemoEntry& entry = memoised(plaintext, rows_[i]);
 
         plaintexts_[i] = plaintext;
         if (options_.acquisition == AcquisitionMode::kStatic) {
-          compose_static_trace(sim, t, rows_[i]);
+          compose_static_trace(entry, t, rows_[i]);
         } else {
-          tracer_->trace_into(sim.events(), schedule_, t, rows_[i]);
+          std::vector<double>& row = rows_[i];
+          row.resize(options_.samples);
+          std::copy_n(floor_.begin(), entry.begin, row.begin());
+          std::copy_n(entry.active, entry.end - entry.begin,
+                      row.begin() + entry.begin);
+          std::fill(row.begin() + entry.end, row.end(), entry.tail);
+          tracer_->add_noise(schedule_, entry.noise_key, t, row);
         }
         if (attempt > 0) trace_diag_[i].record_recovery(stage);
         return;
@@ -239,24 +252,97 @@ class ReducedAesSource final : public AcquisitionSource {
     }
   }
 
+  /// One distinct stimulus, simulated once.  Dynamic: the noiseless row is
+  /// floor_ up to `begin`, the `end - begin` samples at `active` up to
+  /// `end`, then `tail` up to the last sample; `noise_key` is the
+  /// event-dependent term of its noise seed.  Static: the quiescent current
+  /// of the held state, awake and asleep.
+  struct MemoEntry {
+    std::mutex fill;
+    std::atomic<bool> ready{false};
+    const double* active = nullptr;
+    std::size_t begin = 0;
+    std::size_t end = 0;
+    double tail = 0.0;
+    std::uint64_t noise_key = 0;
+    double i_awake = 0.0;
+    double i_asleep = 0.0;
+  };
+
+  /// The memo entry of `plaintext`, simulating it first if no trace has
+  /// yet.  `scratch` is a samples-sized buffer the fill may overwrite.
+  const MemoEntry& memoised(std::uint8_t plaintext,
+                            std::vector<double>& scratch) {
+    MemoEntry& e = memo_[plaintext];
+    if (e.ready.load(std::memory_order_acquire)) return e;
+    const std::lock_guard<std::mutex> lock(e.fill);
+    if (e.ready.load(std::memory_order_relaxed)) return e;
+
+    LogicSim sim(mapped_.design, &library_);
+    acquisition_counters().simulations.add(1);
+    std::vector<std::pair<NetId, bool>> init;
+    for (int b = 0; b < 8; ++b) {
+      init.emplace_back(k_nets_[b], (options_.key >> b) & 1);
+      init.emplace_back(p_nets_[b], false);
+    }
+    if (const_net_ != netlist::kNoNet) init.emplace_back(const_net_, false);
+    sim.apply_and_settle(init);  // precharge state: p = 0, key applied
+    sim.clear_events();
+    sim.run_until(0.5e-9);
+    std::vector<std::pair<NetId, bool>> stimulus;
+    for (int b = 0; b < 8; ++b) {
+      stimulus.emplace_back(p_nets_[b], (plaintext >> b) & 1);
+    }
+    sim.apply_and_settle(stimulus);
+
+    if (options_.acquisition == AcquisitionMode::kStatic) {
+      e.i_awake = tracer_->quiescent_current(sim, true);
+      e.i_asleep = tracer_->quiescent_current(sim, false);
+    } else {
+      tracer_->compose_into(sim.events(), schedule_, scratch);
+      // The row is the event-free floor until the first event kernel and,
+      // since every residual level runs to the end of the grid, bitwise
+      // constant after the last: store only the active span between.
+      const auto same = [](double a, double b) {
+        return std::bit_cast<std::uint64_t>(a) ==
+               std::bit_cast<std::uint64_t>(b);
+      };
+      const double tail = scratch.empty() ? 0.0 : scratch.back();
+      std::size_t end = scratch.size();
+      while (end > 0 && same(scratch[end - 1], tail)) --end;
+      std::size_t begin = 0;
+      while (begin < end && same(scratch[begin], floor_[begin])) ++begin;
+      double* active = pool_.get() +
+                       pool_used_.fetch_add(end - begin,
+                                            std::memory_order_relaxed);
+      std::copy(scratch.begin() + begin, scratch.begin() + end, active);
+      e.active = active;
+      e.begin = begin;
+      e.end = end;
+      e.tail = tail;
+      e.noise_key = power::PowerTracer::noise_key(sim.events());
+    }
+    e.ready.store(true, std::memory_order_release);
+    return e;
+  }
+
   /// Quiescent acquisition: the circuit holds the evaluated state and every
   /// sample is one DC measurement of the supply leakage -- awake for the
   /// first window, gated off (where the library can gate) for the second.
   /// Noise is drawn per sample from a stream keyed on the GLOBAL trace
   /// index, decorrelated from the plaintext stream, so static traces carry
   /// the same shard/resume determinism as dynamic ones.
-  void compose_static_trace(const LogicSim& sim, std::size_t t,
+  void compose_static_trace(const MemoEntry& entry, std::size_t t,
                             std::vector<double>& out) const {
     const std::size_t m = options_.samples;
     out.resize(m);
     const auto awake_window =
         sca::static_window_bounds(sca::StaticWindow::kAwake, m);
-    const double i_awake = tracer_->quiescent_current(sim, true);
-    const double i_asleep = tracer_->quiescent_current(sim, false);
     const power::TraceOptions& topt = tracer_->options();
     util::Rng noise = util::Rng::stream(options_.seed ^ kStaticNoiseStream, t);
     for (std::size_t j = 0; j < m; ++j) {
-      const double level = j < awake_window.second ? i_awake : i_asleep;
+      const double level =
+          j < awake_window.second ? entry.i_awake : entry.i_asleep;
       if (topt.include_noise) {
         // Same front-end model as the transient tracer: scope noise plus
         // regulator noise proportional to the flowing current.
@@ -286,6 +372,16 @@ class ReducedAesSource final : public AcquisitionSource {
   spice::FlowDiagnostics diagnostics_;
   util::RunningStats current_stats_;
   std::size_t cursor_ = 0;
+  /// One entry per plaintext byte, filled lazily; with a fixed plaintext
+  /// only that entry is ever used.
+  std::array<MemoEntry, 256> memo_;
+  /// Dynamic: the noiseless row of no events, which every row follows until
+  /// its first event kernel.
+  std::vector<double> floor_;
+  /// Memoised dynamic active spans, packed in fill order by a bump cursor:
+  /// room for every entry's full row, touched only as far as used.
+  std::unique_ptr<double[]> pool_;
+  std::atomic<std::size_t> pool_used_{0};
   // Per-slot state reused across batches (index-addressed for determinism).
   std::vector<std::uint8_t> plaintexts_;
   std::vector<std::vector<double>> rows_;

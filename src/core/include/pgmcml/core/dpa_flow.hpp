@@ -72,17 +72,19 @@ struct DpaFlowOptions {
   int fixed_plaintext = -1;
   /// Use SPICE-extracted current kernels instead of the analytic defaults.
   bool spice_kernels = false;
-  /// Traces simulated (and resident) per streaming batch: the acquisition
-  /// source holds one batch of row buffers, so this bounds the flow's trace
-  /// memory at batch_size * samples doubles regardless of num_traces.
+  /// Traces produced (and resident) per streaming batch: the acquisition
+  /// source holds one batch of row buffers plus its per-plaintext memo, so
+  /// the flow's trace memory is batch_size * samples doubles plus at most
+  /// 256 memoised rows, regardless of num_traces.
   std::size_t batch_size = sca::kDefaultTraceBatch;
   /// Copy the streamed traces into DpaFlowResult::traces.  Disable for large
   /// campaigns that only need the attack statistics: the flow then never
   /// materializes the trace matrix (the attack results are bitwise identical
   /// either way).
   bool keep_traces = true;
-  /// Test-only fault hook, called as (trace_index, attempt) before each
-  /// trace is simulated; a throw from here fails that attempt.  The
+  /// Test-only fault hook, called as (trace_index, attempt) at the start of
+  /// every attempt, before the plaintext's memo lookup (and any simulation);
+  /// a throw from here fails that attempt.  The
   /// acquisition retries a failed trace once, then skips it and records the
   /// incident — it never aborts the flow.  Keyed on the trace index, so the
   /// same traces fail at any thread count.
@@ -112,11 +114,14 @@ struct DpaFlowResult {
 };
 
 /// Streaming acquisition of the reduced AES target: a TraceSource that
-/// simulates `options.batch_size` traces per next() call into reused row
-/// buffers, so an arbitrarily long campaign holds one batch in memory.
+/// produces `options.batch_size` traces per next() call into reused row
+/// buffers.  Each distinct plaintext is simulated once, on first use, and
+/// every trace is its memoised noiseless row plus the trace's own noise, so
+/// an arbitrarily long campaign holds one batch of rows plus a memo of at
+/// most 256 noiseless active prefixes (one with a fixed plaintext).
 /// Trace indices are global -- Rng streams, noise nonces, and the fault hook
 /// are keyed on the campaign index -- so the stream is bitwise identical to
-/// the materialized acquisition at any thread count and any batch size.
+/// simulating every trace afresh, at any thread count and any batch size.
 /// Failed traces are retried once, then skipped (excluded from the batch)
 /// and recorded in diagnostics(), exactly as the batch flow did.
 class AcquisitionSource : public sca::TraceSource {

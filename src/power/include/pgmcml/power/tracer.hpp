@@ -78,10 +78,28 @@ class PowerTracer {
 
   /// Same, but composes into `out`, recycling its heap buffer: streaming
   /// acquisition reuses one buffer per batch slot instead of allocating a
-  /// fresh samples-sized vector for every trace.
+  /// fresh samples-sized vector for every trace.  It is exactly
+  /// compose_into followed by add_noise(schedule, noise_key(events), nonce,
+  /// out).
   void trace_into(const std::vector<netlist::SimEvent>& events,
                   const SleepSchedule& schedule, std::uint64_t nonce,
                   std::vector<double>& out) const;
+
+  /// The noiseless part of trace_into: the supply-current grid of one
+  /// logic-sim run, a pure function of (events, schedule) once the
+  /// constructor has frozen the per-instance variation.
+  void compose_into(const std::vector<netlist::SimEvent>& events,
+                    const SleepSchedule& schedule,
+                    std::vector<double>& out) const;
+
+  /// The only event-dependent term of the measurement-noise seed:
+  /// events.size() plus the last event time in femtoseconds.
+  static std::uint64_t noise_key(const std::vector<netlist::SimEvent>& events);
+
+  /// Adds one acquisition's measurement noise to a composed grid `out`,
+  /// drawn from a stream keyed on (options().seed, noise_key, nonce).
+  void add_noise(const SleepSchedule& schedule, std::uint64_t noise_key,
+                 std::uint64_t nonce, std::vector<double>& out) const;
 
   /// Quiescent (DC) supply current of the block holding the state of `sim`
   /// [A] -- the observable of the static-power side channel.  Unlike the
