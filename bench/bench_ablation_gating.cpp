@@ -2,8 +2,6 @@
 // study behind the paper's choice of (d), the series sleep transistor:
 // awake current accuracy, gated-off leakage, wake-up time, delay cost and
 // device count, all measured at transistor level on the buffer cell.
-#include <benchmark/benchmark.h>
-
 #include "bench_manifest.hpp"
 
 #include <cstdio>
@@ -66,23 +64,11 @@ void print_ablation() {
   std::printf("\n");
 }
 
-void BM_GatingCharacterization(benchmark::State& state) {
-  mcml::McmlDesign d;
-  d.gating = GatingTopology::kSeriesSleep;
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(
-        mcml::characterize_cell(mcml::CellKind::kBuf, d, 1));
-  }
-}
-BENCHMARK(BM_GatingCharacterization)->Unit(benchmark::kMillisecond);
-
 }  // namespace
 
-int main(int argc, char** argv) {
+int main() {
   pgmcml::bench::Manifest manifest("ablation_gating");
   print_ablation();
   manifest.write();
-  benchmark::Initialize(&argc, argv);
-  benchmark::RunSpecifiedBenchmarks();
   return 0;
 }

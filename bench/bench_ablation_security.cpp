@@ -13,10 +13,7 @@
 // result: static power discloses CMOS and MCML but the PG-MCML gated-off
 // window starves it.  PGMCML_BENCH_SMOKE=1 shrinks every trace budget to a
 // CI-sized run.
-#include <benchmark/benchmark.h>
-
 #include <cstdio>
-#include <cstdlib>
 #include <stdexcept>
 #include <string>
 
@@ -34,11 +31,6 @@ namespace {
 
 using namespace pgmcml;
 using cells::CellLibrary;
-
-bool smoke_mode() {
-  const char* env = std::getenv("PGMCML_BENCH_SMOKE");
-  return env != nullptr && env[0] != '\0' && env[0] != '0';
-}
 
 /// Mounts CPA on PG-MCML with explicit tracer knobs, streaming each trace
 /// into the accumulator through one reused row buffer -- the sweep's memory
@@ -125,7 +117,7 @@ sca::CpaResult run_cpa(double residual_sigma, double supply_noise_ratio,
 /// rides a dynamic acquisition of the same budget.  MTD 0 = never disclosed.
 void print_attack_modalities(pgmcml::bench::Manifest& manifest) {
   const std::uint8_t key = 0x2b;
-  const std::size_t budget = smoke_mode() ? 600 : 2000;
+  const std::size_t budget = bench::smoke_mode() ? 600 : 2000;
 
   util::Table t("Static-power and MLPA attack modalities (" +
                 std::to_string(budget) + " traces/holds per style)");
@@ -204,7 +196,7 @@ void print_attack_modalities(pgmcml::bench::Manifest& manifest) {
 
 void print_security_ablation(pgmcml::bench::Manifest& manifest) {
   const std::uint8_t key = 0x2b;
-  const std::size_t sweep_traces = smoke_mode() ? 400 : 2000;
+  const std::size_t sweep_traces = bench::smoke_mode() ? 400 : 2000;
 
   util::Table t1("PG-MCML security vs leg-imbalance residual (" +
                  std::to_string(sweep_traces) + " traces)");
@@ -262,20 +254,11 @@ void print_security_ablation(pgmcml::bench::Manifest& manifest) {
       "(constant-current logic) is what actually defeats the attack.\n\n");
 }
 
-void BM_SecurityTracePoint(benchmark::State& state) {
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(run_cpa(0.002, 0.0025, 16, 0x2b));
-  }
-}
-BENCHMARK(BM_SecurityTracePoint)->Unit(benchmark::kMillisecond);
-
 }  // namespace
 
-int main(int argc, char** argv) {
+int main() {
   pgmcml::bench::Manifest manifest("ablation_security");
   print_attack_modalities(manifest);
   print_security_ablation(manifest);
-  benchmark::Initialize(&argc, argv);
-  benchmark::RunSpecifiedBenchmarks();
   return 0;
 }

@@ -9,8 +9,6 @@
 //
 // The buffer-level numbers come from the transistor-level characterizations
 // (characterize_cell / characterize_dycml_buffer).
-#include <benchmark/benchmark.h>
-
 #include "bench_manifest.hpp"
 
 #include <cstdio>
@@ -98,20 +96,11 @@ void print_style_comparison() {
       "support.\n\n");
 }
 
-void BM_DycmlCharacterization(benchmark::State& state) {
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(mcml::characterize_dycml_buffer());
-  }
-}
-BENCHMARK(BM_DycmlCharacterization)->Unit(benchmark::kMillisecond);
-
 }  // namespace
 
-int main(int argc, char** argv) {
+int main() {
   pgmcml::bench::Manifest manifest("ablation_styles");
   print_style_comparison();
   manifest.write();
-  benchmark::Initialize(&argc, argv);
-  benchmark::RunSpecifiedBenchmarks();
   return 0;
 }

@@ -1,18 +1,16 @@
-// Distributed-campaign benchmark: throughput scaling of the forked-worker
-// coordinator against the serial reference, plus a crash-recovery run with
-// an injected worker SIGKILL.  Every distributed run is checked bitwise
+// Distributed-campaign check: the forked-worker coordinator at 1, 2 and 4
+// workers against the serial reference, plus a crash-recovery run with an
+// injected worker SIGKILL.  Every distributed run is checked bitwise
 // against the serial reference (CPA peak correlations, DPA differences,
 // TVLA max |t|, key rank, MTD) -- the `campaign.*.bitwise_equal` metrics
-// are the receipt, and they gate regressions; the timing metrics are
-// machine-dependent and ignored by the CI compare.
+// are the receipt, and they gate regressions.  Campaign throughput is
+// measured by perfbench's campaign_sharded workload, not here.
 //
 // PGMCML_BENCH_SMOKE=1 shrinks the workload to a CI-sized run.  The full
 // run defaults to a 100k-trace campaign; PGMCML_CAMPAIGN_BENCH_TRACES and
 // PGMCML_CAMPAIGN_BENCH_SAMPLES override either mode.
-#include <chrono>
 #include <csignal>
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
 #include <filesystem>
 #include <string>
@@ -26,16 +24,6 @@
 namespace {
 
 using namespace pgmcml;
-
-double now_seconds() {
-  const auto t = std::chrono::steady_clock::now().time_since_epoch();
-  return std::chrono::duration<double>(t).count();
-}
-
-bool smoke_mode() {
-  const char* env = std::getenv("PGMCML_BENCH_SMOKE");
-  return env != nullptr && env[0] != '\0' && env[0] != '0';
-}
 
 /// The attack statistics two equal campaigns must share bit for bit.
 bool bitwise_equal(const campaign::CampaignResult& a,
@@ -55,19 +43,15 @@ bool bitwise_equal(const campaign::CampaignResult& a,
 struct RunMeasurement {
   std::string label;
   std::size_t workers = 0;
-  double seconds = 0.0;
   bool equal = false;
   campaign::CampaignResult result;
-  double traces_per_second(std::size_t traces) const {
-    return seconds > 0.0 ? static_cast<double>(traces) / seconds : 0.0;
-  }
 };
 
 }  // namespace
 
 int main() {
   bench::Manifest manifest("campaign");
-  const bool smoke = smoke_mode();
+  const bool smoke = bench::smoke_mode();
 
   campaign::CampaignOptions base;
   base.style = cells::LogicStyle::kCmos;  // disclosing style: MTD is live
@@ -87,16 +71,11 @@ int main() {
               base.num_traces, base.samples, base.shard_count(),
               smoke ? "smoke" : "full");
 
-  const double t_serial0 = now_seconds();
   const campaign::CampaignResult serial = campaign::run_campaign_serial(base);
-  const double serial_s = now_seconds() - t_serial0;
 
-  util::Table table("Distributed campaign: throughput and recovery");
-  table.header({"run", "workers", "seconds", "traces/s", "speedup",
-                "restarts", "skipped", "bitwise==serial"});
-  table.row({"serial", "-", util::Table::num(serial_s, 2),
-             util::Table::num(base.num_traces / serial_s, 0), "1.00", "0", "0",
-             "(reference)"});
+  util::Table table("Distributed campaign: equivalence and recovery");
+  table.header({"run", "workers", "restarts", "skipped", "bitwise==serial"});
+  table.row({"serial", "-", "0", "0", "(reference)"});
 
   std::vector<RunMeasurement> runs;
   for (const std::size_t workers : {std::size_t{1}, std::size_t{2},
@@ -108,14 +87,9 @@ int main() {
     RunMeasurement m;
     m.label = "workers_" + std::to_string(workers);
     m.workers = workers;
-    const double t0 = now_seconds();
     m.result = campaign::run_campaign(o);
-    m.seconds = now_seconds() - t0;
     m.equal = bitwise_equal(m.result, serial);
     table.row({m.label, std::to_string(workers),
-               util::Table::num(m.seconds, 2),
-               util::Table::num(m.traces_per_second(base.num_traces), 0),
-               util::Table::num(serial_s / m.seconds, 2),
                std::to_string(m.result.restarts),
                std::to_string(m.result.shards_skipped),
                m.equal ? "yes" : "NO"});
@@ -137,14 +111,9 @@ int main() {
     RunMeasurement m;
     m.label = "crash";
     m.workers = 4;
-    const double t0 = now_seconds();
     m.result = campaign::run_campaign(o);
-    m.seconds = now_seconds() - t0;
     m.equal = bitwise_equal(m.result, serial);
-    table.row({"crash (shard 1)", "4", util::Table::num(m.seconds, 2),
-               util::Table::num(m.traces_per_second(base.num_traces), 0),
-               util::Table::num(serial_s / m.seconds, 2),
-               std::to_string(m.result.restarts),
+    table.row({"crash (shard 1)", "4", std::to_string(m.result.restarts),
                std::to_string(m.result.shards_skipped),
                m.equal ? "yes" : "NO"});
     runs.push_back(std::move(m));
@@ -155,17 +124,10 @@ int main() {
       "reference; the crash row additionally shows restarts > 0 (the "
       "injected SIGKILL) with no shards skipped.\n\n");
 
-  manifest.metric("campaign.serial.seconds", serial_s, bench::Better::kLower);
-  manifest.metric("campaign.serial.traces_per_s", base.num_traces / serial_s,
-                  bench::Better::kHigher);
   obs::json::Array scaling;
   bool all_equal = true;
   for (const RunMeasurement& m : runs) {
     const std::string prefix = "campaign." + m.label;
-    manifest.metric(prefix + ".seconds", m.seconds, bench::Better::kLower);
-    manifest.metric(prefix + ".traces_per_s",
-                    m.traces_per_second(base.num_traces),
-                    bench::Better::kHigher);
     manifest.metric(prefix + ".bitwise_equal", m.equal ? 1.0 : 0.0,
                     bench::Better::kHigher);
     manifest.metric(prefix + ".restarts",
@@ -179,10 +141,6 @@ int main() {
     obs::json::Object row;
     row.emplace_back("run", m.label);
     row.emplace_back("workers", static_cast<std::uint64_t>(m.workers));
-    row.emplace_back("seconds", m.seconds);
-    row.emplace_back("traces_per_s", m.traces_per_second(base.num_traces));
-    row.emplace_back("speedup_vs_serial",
-                     m.seconds > 0.0 ? serial_s / m.seconds : 0.0);
     row.emplace_back("bitwise_equal_serial", m.equal);
     row.emplace_back("workers_spawned", m.result.workers_spawned);
     row.emplace_back("restarts", m.result.restarts);

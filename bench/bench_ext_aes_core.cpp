@@ -4,8 +4,6 @@
 // and average power under the Table 3 duty scenario.  Shows why the paper's
 // ISE partitioning is the sweet spot: the full MCML core's static power is
 // proportionally larger, and power gating matters even more.
-#include <benchmark/benchmark.h>
-
 #include "bench_manifest.hpp"
 
 #include <cstdio>
@@ -152,31 +150,12 @@ void print_full_core_cpa() {
       "settings.\n\n");
 }
 
-void BM_BuildAesCore(benchmark::State& state) {
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(core::build_aes_core_module());
-  }
-}
-BENCHMARK(BM_BuildAesCore)->Unit(benchmark::kMillisecond);
-
-void BM_RunAesCoreBlock(benchmark::State& state) {
-  const synth::Module core = core::build_aes_core_module();
-  aes::Key key{};
-  aes::Block pt{};
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(core::run_aes_core(core, pt, key));
-  }
-}
-BENCHMARK(BM_RunAesCoreBlock)->Unit(benchmark::kMillisecond);
-
 }  // namespace
 
-int main(int argc, char** argv) {
+int main() {
   pgmcml::bench::Manifest manifest("ext_aes_core");
   print_aes_core();
   print_full_core_cpa();
   manifest.write();
-  benchmark::Initialize(&argc, argv);
-  benchmark::RunSpecifiedBenchmarks();
   return 0;
 }

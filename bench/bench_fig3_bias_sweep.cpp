@@ -4,8 +4,6 @@
 //       interior Iss (the paper picked 50 uA).
 // Each point re-solves the bias voltages and re-runs the transistor-level
 // transient characterization.
-#include <benchmark/benchmark.h>
-
 #include "bench_manifest.hpp"
 
 #include <cstdio>
@@ -62,21 +60,11 @@ void print_fig3() {
   }
 }
 
-void BM_BiasSweepPoint(benchmark::State& state) {
-  mcml::McmlDesign base;
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(mcml::characterize_buffer_at(base, 50e-6));
-  }
-}
-BENCHMARK(BM_BiasSweepPoint)->Unit(benchmark::kMillisecond);
-
 }  // namespace
 
-int main(int argc, char** argv) {
+int main() {
   pgmcml::bench::Manifest manifest("fig3_bias_sweep");
   print_fig3();
   manifest.write();
-  benchmark::Initialize(&argc, argv);
-  benchmark::RunSpecifiedBenchmarks();
   return 0;
 }

@@ -2,8 +2,6 @@
 // around one custom-instruction execution (at 14.4 ns in a 20 ns window),
 // for conventional MCML (flat, always burning) and PG-MCML (gated pulse),
 // with the sleep signal overlaid.
-#include <benchmark/benchmark.h>
-
 #include "bench_manifest.hpp"
 
 #include <cstdio>
@@ -68,20 +66,11 @@ void print_fig5() {
   std::printf("\n");
 }
 
-void BM_ComposeFig5(benchmark::State& state) {
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(core::compose_fig5_waveforms());
-  }
-}
-BENCHMARK(BM_ComposeFig5)->Unit(benchmark::kMillisecond);
-
 }  // namespace
 
-int main(int argc, char** argv) {
+int main() {
   pgmcml::bench::Manifest manifest("fig5_waveform");
   print_fig5();
   manifest.write();
-  benchmark::Initialize(&argc, argv);
-  benchmark::RunSpecifiedBenchmarks();
   return 0;
 }

@@ -1,10 +1,8 @@
 #include "bench_manifest.hpp"
 
-#include <chrono>
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
-#include <ctime>
 #include <utility>
 
 #include "pgmcml/obs/obs.hpp"
@@ -20,17 +18,6 @@
 namespace pgmcml::bench {
 
 namespace {
-
-double wall_seconds() {
-  const auto t = std::chrono::steady_clock::now().time_since_epoch();
-  return std::chrono::duration<double>(t).count();
-}
-
-/// Process CPU seconds across all threads (std::clock is per-process CPU
-/// time on POSIX).
-double cpu_seconds() {
-  return static_cast<double>(std::clock()) / CLOCKS_PER_SEC;
-}
 
 std::string git_sha() {
   std::string sha = PGMCML_GIT_SHA;
@@ -51,22 +38,12 @@ const char* to_string(Better b) {
   return "none";
 }
 
-std::size_t peak_rss_kb() {
-  std::FILE* f = std::fopen("/proc/self/status", "r");
-  if (f == nullptr) return 0;
-  char line[256];
-  std::size_t kb = 0;
-  while (std::fgets(line, sizeof line, f) != nullptr) {
-    if (std::sscanf(line, "VmHWM: %zu", &kb) == 1) break;
-  }
-  std::fclose(f);
-  return kb;
+bool smoke_mode() {
+  const char* env = std::getenv("PGMCML_BENCH_SMOKE");
+  return env != nullptr && env[0] != '\0' && env[0] != '0';
 }
 
-Manifest::Manifest(std::string bench_name)
-    : name_(std::move(bench_name)),
-      wall_start_(wall_seconds()),
-      cpu_start_(cpu_seconds()) {}
+Manifest::Manifest(std::string bench_name) : name_(std::move(bench_name)) {}
 
 void Manifest::metric(const std::string& name, double value, Better better) {
   obs::json::Object m;
@@ -121,9 +98,6 @@ obs::json::Value Manifest::to_json() const {
   doc.emplace_back("build_type", std::string(PGMCML_BUILD_TYPE));
   doc.emplace_back("threads",
                    static_cast<std::uint64_t>(util::parallel_threads()));
-  doc.emplace_back("wall_s", wall_seconds() - wall_start_);
-  doc.emplace_back("cpu_s", cpu_seconds() - cpu_start_);
-  doc.emplace_back("peak_rss_kb", static_cast<std::uint64_t>(peak_rss_kb()));
   doc.emplace_back("metrics", obs::json::Value(std::move(metrics)));
   doc.emplace_back("sections", obs::json::Value(sections_));
   doc.emplace_back("obs", snap.to_json());
@@ -132,18 +106,13 @@ obs::json::Value Manifest::to_json() const {
 
 bool Manifest::write(const std::string& path) const {
   const std::string out_path = path.empty() ? "BENCH_" + name_ + ".json" : path;
-  std::FILE* f = std::fopen(out_path.c_str(), "w");
-  if (f == nullptr) {
-    std::fprintf(stderr, "bench_manifest: cannot open %s for writing\n",
+  if (!obs::json::save_file_atomic(out_path, to_json(), 2)) {
+    std::fprintf(stderr, "bench_manifest: cannot write %s\n",
                  out_path.c_str());
     return false;
   }
-  const std::string text = to_json().dump(2);
-  const bool ok = std::fwrite(text.data(), 1, text.size(), f) == text.size() &&
-                  std::fputc('\n', f) != EOF;
-  std::fclose(f);
-  if (ok) std::printf("Wrote %s\n", out_path.c_str());
-  return ok;
+  std::printf("Wrote %s\n", out_path.c_str());
+  return true;
 }
 
 bool CompareReport::ok() const { return errors.empty() && regressions() == 0; }
@@ -171,28 +140,6 @@ std::string CompareReport::render() const {
   return out;
 }
 
-bool glob_match(const std::string& pattern, const std::string& name) {
-  // Iterative '*' matcher with single-star backtracking.
-  std::size_t p = 0, n = 0;
-  std::size_t star = std::string::npos, mark = 0;
-  while (n < name.size()) {
-    if (p < pattern.size() && (pattern[p] == name[n])) {
-      ++p;
-      ++n;
-    } else if (p < pattern.size() && pattern[p] == '*') {
-      star = p++;
-      mark = n;
-    } else if (star != std::string::npos) {
-      p = star + 1;
-      n = ++mark;
-    } else {
-      return false;
-    }
-  }
-  while (p < pattern.size() && pattern[p] == '*') ++p;
-  return p == pattern.size();
-}
-
 namespace {
 
 struct MetricEntry {
@@ -201,7 +148,9 @@ struct MetricEntry {
   Better better = Better::kNone;
 };
 
-/// Extracts the metrics table; shape problems become errors.
+/// Extracts the metrics table.  Each metric must be an object with a numeric
+/// value and a known direction; anything else is an error rather than a
+/// silent 0 or an ungated metric (obs::json writes NaN/Inf as null).
 std::vector<MetricEntry> extract_metrics(const obs::json::Value& doc,
                                          const char* which,
                                          std::vector<std::string>& errors) {
@@ -212,21 +161,28 @@ std::vector<MetricEntry> extract_metrics(const obs::json::Value& doc,
     return out;
   }
   for (const auto& [name, v] : metrics->as_object()) {
+    const std::string where = std::string(which) + ": metric '" + name + "'";
+    if (!v.is_object()) {
+      errors.push_back(where + " is not an object");
+      continue;
+    }
+    const obs::json::Value* value = v.find("value");
+    if (value == nullptr || !value->is_number()) {
+      errors.push_back(where + " has no numeric value");
+      continue;
+    }
     MetricEntry e;
     e.name = name;
-    if (v.is_number()) {
-      e.value = v.as_number();
-    } else if (v.is_object()) {
-      e.value = v.number_or("value", 0.0);
-      const std::string dir = v.string_or("better", "none");
-      if (dir == "lower") {
-        e.better = Better::kLower;
-      } else if (dir == "higher") {
-        e.better = Better::kHigher;
-      }
-    } else {
-      errors.push_back(std::string(which) + ": metric '" + name +
-                       "' is neither a number nor an object");
+    e.value = value->as_number();
+    const obs::json::Value* better = v.find("better");
+    const std::string dir =
+        better != nullptr && better->is_string() ? better->as_string() : "";
+    if (dir == "lower") {
+      e.better = Better::kLower;
+    } else if (dir == "higher") {
+      e.better = Better::kHigher;
+    } else if (dir != "none") {
+      errors.push_back(where + " has unknown direction '" + dir + "'");
       continue;
     }
     out.push_back(std::move(e));
@@ -237,8 +193,7 @@ std::vector<MetricEntry> extract_metrics(const obs::json::Value& doc,
 }  // namespace
 
 CompareReport compare_manifests(const obs::json::Value& baseline,
-                                const obs::json::Value& current,
-                                const CompareOptions& options) {
+                                const obs::json::Value& current) {
   CompareReport report;
 
   const double base_ver = baseline.number_or("schema_version", -1.0);
@@ -259,18 +214,6 @@ CompareReport compare_manifests(const obs::json::Value& baseline,
       extract_metrics(current, "current", report.errors);
   if (!report.errors.empty()) return report;
 
-  const auto ignored = [&](const std::string& name) {
-    for (const std::string& pat : options.ignore) {
-      if (glob_match(pat, name)) return true;
-    }
-    return false;
-  };
-  const auto threshold_for = [&](const std::string& name) {
-    for (const auto& [pat, thr] : options.thresholds) {
-      if (pat == name || glob_match(pat, name)) return thr;
-    }
-    return options.default_threshold;
-  };
   const auto find_current = [&](const std::string& name) -> const MetricEntry* {
     for (const MetricEntry& e : cur) {
       if (e.name == name) return &e;
@@ -282,12 +225,6 @@ CompareReport compare_manifests(const obs::json::Value& baseline,
     CompareLine line;
     line.metric = b.name;
     line.baseline = b.value;
-    line.threshold = threshold_for(b.name);
-    if (ignored(b.name)) {
-      line.note = "ignored";
-      report.lines.push_back(std::move(line));
-      continue;
-    }
     const MetricEntry* c = find_current(b.name);
     if (c == nullptr) {
       line.regression = b.better != Better::kNone;
@@ -303,10 +240,10 @@ CompareReport compare_manifests(const obs::json::Value& baseline,
                                        : std::copysign(HUGE_VAL, c->value));
     switch (b.better) {
       case Better::kLower:
-        line.regression = line.rel_change > line.threshold;
+        line.regression = line.rel_change > kRegressionTolerance;
         break;
       case Better::kHigher:
-        line.regression = line.rel_change < -line.threshold;
+        line.regression = line.rel_change < -kRegressionTolerance;
         break;
       case Better::kNone:
         line.note = "informational";
@@ -323,7 +260,7 @@ CompareReport compare_manifests(const obs::json::Value& baseline,
         break;
       }
     }
-    if (in_base || ignored(c.name)) continue;
+    if (in_base) continue;
     CompareLine line;
     line.metric = c.name;
     line.current = c.value;

@@ -1,17 +1,16 @@
-// Pipeline-level benchmark for the parallel-execution layer: times every
+// Pipeline-level check of the parallel-execution layer: runs every
 // parallelized stage of the evaluation flow once with 1 worker (the serial
 // fallback) and once with the configured worker count (PGMCML_THREADS or
-// hardware_concurrency), checks that both runs produce bitwise-identical
-// results, and emits the measurements in the shared BENCH_pipeline.json
-// manifest envelope.  PGMCML_BENCH_SMOKE=1 shrinks every workload to a
-// CI-sized smoke run whose deterministic counters still gate regressions.
+// hardware_concurrency) and checks that both runs produce bitwise-identical
+// results; runs one transient on the dense and the sparse solver backends
+// and checks that they agree; and emits the verdicts and exact counters in
+// the shared BENCH_pipeline.json manifest envelope.  Timing is perfbench's
+// job, not this bench's.  PGMCML_BENCH_SMOKE=1 shrinks every workload to a
+// CI-sized smoke run.
 #include <algorithm>
-#include <chrono>
 #include <cmath>
 #include <cstdio>
-#include <cstdlib>
 #include <functional>
-#include <span>
 #include <memory>
 #include <string>
 #include <vector>
@@ -32,41 +31,22 @@ namespace {
 using namespace pgmcml;
 using cells::CellLibrary;
 
-double now_seconds() {
-  const auto t = std::chrono::steady_clock::now().time_since_epoch();
-  return std::chrono::duration<double>(t).count();
-}
-
 struct StageResult {
   std::string name;
-  double serial_s = 0.0;
-  double parallel_s = 0.0;
   bool deterministic = false;
-  double speedup() const {
-    return parallel_s > 0.0 ? serial_s / parallel_s : 0.0;
-  }
 };
 
 /// Runs `stage` (which returns a checksum) once at 1 thread and once at the
 /// configured count, verifying the checksums match bitwise.
-StageResult time_stage(const std::string& name,
-                       const std::function<double()>& stage) {
-  StageResult r;
-  r.name = name;
-
+StageResult run_stage(const std::string& name,
+                      const std::function<double()>& stage) {
   util::set_parallel_threads(1);
-  double t0 = now_seconds();
   const double serial_sum = stage();
-  r.serial_s = now_seconds() - t0;
-
   util::set_parallel_threads(0);  // env / hardware default
-  t0 = now_seconds();
   const double parallel_sum = stage();
-  r.parallel_s = now_seconds() - t0;
 
-  r.deterministic = serial_sum == parallel_sum;
-  std::printf("  %-16s serial %8.3f s   parallel %8.3f s   x%.2f   %s\n",
-              name.c_str(), r.serial_s, r.parallel_s, r.speedup(),
+  StageResult r{name, serial_sum == parallel_sum};
+  std::printf("  %-16s %s\n", name.c_str(),
               r.deterministic ? "bitwise-identical" : "MISMATCH");
   return r;
 }
@@ -79,13 +59,6 @@ double checksum(const sca::TraceSet& ts) {
     for (std::size_t j = 0; j < t.size(); ++j) sum += t[j];
   }
   return sum;
-}
-
-/// CI smoke mode: shrink the workloads so the whole bench finishes in
-/// seconds while exercising the same code paths.
-bool smoke_mode() {
-  const char* env = std::getenv("PGMCML_BENCH_SMOKE");
-  return env != nullptr && env[0] != '\0' && env[0] != '0';
 }
 
 /// Swept circuit for the dc_sweep_batch stage: a CMOS inverter chain gives
@@ -153,12 +126,12 @@ std::unique_ptr<spice::Circuit> make_mcml_chain(int stages) {
 
 int main() {
   bench::Manifest manifest("pipeline");
-  const bool smoke = smoke_mode();
+  const bool smoke = bench::smoke_mode();
   const std::size_t nthreads = util::parallel_threads();
-  std::printf("Pipeline benchmark: 1 thread vs %zu threads%s\n\n", nthreads,
+  std::printf("Pipeline determinism: 1 thread vs %zu threads%s\n\n", nthreads,
               smoke ? " (smoke mode)" : "");
 
-  // Fixed, modest workloads: large enough to expose the per-stage costs,
+  // Fixed, modest workloads: large enough to exercise every parallel path,
   // small enough to finish in minutes on one core.  Smoke mode shrinks them
   // to CI scale; the baselines under bench/baselines/ are smoke-mode runs.
   core::DpaFlowOptions acq_opt;
@@ -171,19 +144,19 @@ int main() {
 
   std::vector<StageResult> stages;
 
-  stages.push_back(time_stage("acquire", [&] {
+  stages.push_back(run_stage("acquire", [&] {
     return checksum(
         core::acquire_reduced_aes_traces(CellLibrary::pgmcml90(), acq_opt));
   }));
 
-  stages.push_back(time_stage("cpa", [&] {
+  stages.push_back(run_stage("cpa", [&] {
     const sca::CpaResult r = sca::cpa_attack(cpa_input);
     double sum = 0.0;
     for (double v : r.peak_correlation) sum += v;
     return sum;
   }));
 
-  stages.push_back(time_stage("mtd", [&] {
+  stages.push_back(run_stage("mtd", [&] {
     // Checkpointed single-pass MTD over the same traces: one accumulator
     // stream, snapshots at the grid points, no prefix reruns.
     sca::MtdTracker tracker(sca::LeakageModel::kHammingWeight,
@@ -195,14 +168,14 @@ int main() {
     return static_cast<double>(tracker.finish());
   }));
 
-  stages.push_back(time_stage("montecarlo", [&] {
+  stages.push_back(run_stage("montecarlo", [&] {
     const mcml::MonteCarloResult r = mcml::monte_carlo_characterize(
         mcml::CellKind::kBuf, mcml::McmlDesign{}, smoke ? 3 : 6);
     return r.delay.mean() + r.swing.mean() + r.static_current.mean() +
            static_cast<double>(r.failures);
   }));
 
-  stages.push_back(time_stage("bias_sweep", [&] {
+  stages.push_back(run_stage("bias_sweep", [&] {
     const auto pts =
         mcml::sweep_buffer_bias(mcml::McmlDesign{}, {35e-6, 50e-6, 75e-6});
     double sum = 0.0;
@@ -211,7 +184,7 @@ int main() {
   }));
 
   const int sweep_points = smoke ? 512 : 2048;
-  stages.push_back(time_stage("dc_sweep_batch", [&] {
+  stages.push_back(run_stage("dc_sweep_batch", [&] {
     std::vector<double> values;
     for (int i = 0; i <= sweep_points; ++i) {
       values.push_back(i * (0.7 / sweep_points));
@@ -226,14 +199,13 @@ int main() {
 
   util::set_parallel_threads(0);
 
-  // --- sparse-vs-dense solver comparison ------------------------------------
+  // --- sparse-vs-dense solver parity ----------------------------------------
   // One single-threaded transient over the largest bench circuit, run on
-  // both backends.  The sparse structure-reusing path must beat the dense
-  // reference by a wide margin, and the two must agree on the answer.
+  // both backends: the sparse structure-reusing path must agree with the
+  // dense reference, and its fill-in stays an exact, gated counter.
   const int chain_stages = smoke ? 24 : 48;
   const double chain_window = (smoke ? 2.0 : 4.0) * util::ns;
   util::set_parallel_threads(1);
-  double dense_s = 0.0, sparse_s = 0.0, sparse_solves = 0.0;
   double parity_diff = 0.0, fill_in = 0.0, unknowns = 0.0;
   spice::NewtonWorkspace chain_ws;
   std::vector<double> final_state[2];
@@ -242,9 +214,7 @@ int main() {
     spice::TranOptions opt;
     opt.dt_max = 10 * util::ps;
     opt.backend = spice::SolverBackend::kDense;
-    const double t0 = now_seconds();
     const spice::TranResult tr = spice::transient(*c, chain_window, opt);
-    dense_s = now_seconds() - t0;
     if (!tr.ok) {
       std::fprintf(stderr, "dense chain transient failed: %s\n",
                    tr.error.c_str());
@@ -258,17 +228,14 @@ int main() {
     spice::TranOptions opt;
     opt.dt_max = 10 * util::ps;
     opt.backend = spice::SolverBackend::kSparse;
-    const double t0 = now_seconds();
     const spice::TranResult tr =
         spice::transient(*c, chain_window, opt, chain_ws);
-    sparse_s = now_seconds() - t0;
     if (!tr.ok) {
       std::fprintf(stderr, "sparse chain transient failed: %s\n",
                    tr.error.c_str());
       return 1;
     }
     final_state[1] = tr.final_state;
-    sparse_solves = static_cast<double>(tr.stats.lu_solves);
     fill_in = chain_ws.sparse.fill_in_ratio();
   }
   for (std::size_t i = 0; i < final_state[0].size(); ++i) {
@@ -276,36 +243,17 @@ int main() {
         std::max(parity_diff, std::fabs(final_state[0][i] - final_state[1][i]));
   }
 
-  // Refactor-vs-factorize micro-ratio on the chain's own matrix: the
-  // workspace still holds the last assembled values, so the replay path is
-  // timed against full pivoting on the real system.
-  double refactor_ratio = 0.0;
-  {
-    const std::span<const double> vals(chain_ws.values.data(),
-                                       chain_ws.sparse.pattern_nnz());
-    const int reps = 200;
-    double t0 = now_seconds();
-    for (int i = 0; i < reps; ++i) chain_ws.sparse.refactor(vals);
-    const double refactor_t = now_seconds() - t0;
-    t0 = now_seconds();
-    for (int i = 0; i < reps; ++i) chain_ws.sparse.factorize(vals);
-    const double factor_t = now_seconds() - t0;
-    refactor_ratio = factor_t > 0.0 ? refactor_t / factor_t : 0.0;
-  }
-  const double chain_speedup = sparse_s > 0.0 ? dense_s / sparse_s : 0.0;
-  const double solves_per_sec = sparse_s > 0.0 ? sparse_solves / sparse_s : 0.0;
   std::printf(
       "\nSparse solver (PG-MCML chain, %d stages, %.0f unknowns):\n"
-      "  dense %8.3f s   sparse %8.3f s   x%.2f   %.0f solves/s\n"
-      "  fill-in %.3f   refactor/factorize time %.3f   max |dV| %.2e\n",
-      chain_stages, unknowns, dense_s, sparse_s, chain_speedup, solves_per_sec,
-      fill_in, refactor_ratio, parity_diff);
+      "  fill-in %.3f   max |dV| dense vs sparse %.2e\n",
+      chain_stages, unknowns, fill_in, parity_diff);
 
   util::set_parallel_threads(0);
 
   // One full flow run for the diagnostics block: acquisition health
   // (retries/skips and engine-effort totals) goes to the manifest alongside
-  // the timings, so a degraded-but-passing run is visible to machines too.
+  // the determinism flags, so a degraded-but-passing run is visible to
+  // machines too.
   core::DpaFlowOptions diag_opt = acq_opt;
   diag_opt.num_traces = smoke ? 32 : 64;
   const core::DpaFlowResult diag_flow =
@@ -313,38 +261,18 @@ int main() {
   std::printf("\nFlow diagnostics: %s\n",
               diag_flow.diagnostics.clean() ? "clean" : "incidents recorded");
 
-  // Timings are machine-dependent (CI ignores "*.serial_s"/"*.parallel_s"/
-  // "*.speedup"); determinism flags and acquisition health are exact and
-  // gate regressions at any machine speed.
+  // Determinism flags, the sparse block (unknown count, fill-in ratio,
+  // backend parity) and acquisition health are exact and gate regressions
+  // at any machine speed.
   obs::json::Array stage_rows;
   for (const StageResult& s : stages) {
-    manifest.metric("stage." + s.name + ".serial_s", s.serial_s,
-                    bench::Better::kLower);
-    manifest.metric("stage." + s.name + ".parallel_s", s.parallel_s,
-                    bench::Better::kLower);
-    manifest.metric("stage." + s.name + ".speedup", s.speedup(),
-                    bench::Better::kHigher);
     manifest.metric("stage." + s.name + ".deterministic",
                     s.deterministic ? 1.0 : 0.0, bench::Better::kHigher);
     obs::json::Object row;
     row.emplace_back("name", s.name);
-    row.emplace_back("serial_s", s.serial_s);
-    row.emplace_back("parallel_s", s.parallel_s);
-    row.emplace_back("speedup", s.speedup());
     row.emplace_back("deterministic", s.deterministic);
     stage_rows.emplace_back(std::move(row));
   }
-  // Sparse-solver block.  Timings and throughput are machine-dependent (CI
-  // ignores "sparse.*_s", the speedup, solves_per_sec and the micro-ratio);
-  // the unknown count, fill-in ratio and backend parity are exact.
-  manifest.metric("sparse.transient_dense_s", dense_s, bench::Better::kLower);
-  manifest.metric("sparse.transient_sparse_s", sparse_s, bench::Better::kLower);
-  manifest.metric("sparse.transient_speedup", chain_speedup,
-                  bench::Better::kHigher);
-  manifest.metric("sparse.solves_per_sec", solves_per_sec,
-                  bench::Better::kHigher);
-  manifest.metric("sparse.refactor_vs_factor_ratio", refactor_ratio,
-                  bench::Better::kLower);
   manifest.metric("sparse.fill_in_ratio", fill_in, bench::Better::kLower);
   manifest.metric("sparse.unknowns", unknowns, bench::Better::kNone);
   manifest.metric("sparse.parity", parity_diff < 5e-3 ? 1.0 : 0.0,

@@ -1,9 +1,6 @@
 // Reproduces Table 1: silicon area of conventional MCML vs PG-MCML cells in
 // the 90 nm library (BUFX1, MUX4X1, AND4X1, DLX1), and the ~6 % sleep-
-// transistor overhead.  Google-benchmark timings cover the area-model and
-// netlist-generation paths; the primary output is the printed table.
-#include <benchmark/benchmark.h>
-
+// transistor overhead, with the device counts from the generated netlists.
 #include "bench_manifest.hpp"
 
 #include <cstdio>
@@ -56,32 +53,11 @@ void print_table1() {
   std::printf("\n");
 }
 
-void BM_AreaModel(benchmark::State& state) {
-  AreaModel area;
-  for (auto _ : state) {
-    double sum = 0.0;
-    for (CellKind kind : mcml::all_cells()) {
-      sum += area.pg_area(kind) + area.mcml_area(kind);
-    }
-    benchmark::DoNotOptimize(sum);
-  }
-}
-BENCHMARK(BM_AreaModel);
-
-void BM_NetlistGeneration(benchmark::State& state) {
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(mcml::transistor_count(CellKind::kMux4, true));
-  }
-}
-BENCHMARK(BM_NetlistGeneration);
-
 }  // namespace
 
-int main(int argc, char** argv) {
+int main() {
   pgmcml::bench::Manifest manifest("table1_area");
   print_table1();
   manifest.write();
-  benchmark::Initialize(&argc, argv);
-  benchmark::RunSpecifiedBenchmarks();
   return 0;
 }

@@ -3,8 +3,6 @@
 // characterization of the generated cells (FO1 load, Iss = 50 uA,
 // Vsw = 0.4 V); areas from the layout model.  The paper's published delays
 // are shown alongside for the EXPERIMENTS.md comparison.
-#include <benchmark/benchmark.h>
-
 #include "bench_manifest.hpp"
 
 #include <cstdio>
@@ -49,27 +47,9 @@ void print_table2() {
               ratio_sum / ratio_n);
 }
 
-void BM_CharacterizeBuffer(benchmark::State& state) {
-  mcml::McmlDesign design;
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(
-        mcml::characterize_cell(CellKind::kBuf, design, 1));
-  }
-}
-BENCHMARK(BM_CharacterizeBuffer)->Unit(benchmark::kMillisecond);
-
-void BM_CharacterizeFullAdder(benchmark::State& state) {
-  mcml::McmlDesign design;
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(
-        mcml::characterize_cell(CellKind::kFullAdder, design, 1));
-  }
-}
-BENCHMARK(BM_CharacterizeFullAdder)->Unit(benchmark::kMillisecond);
-
 }  // namespace
 
-int main(int argc, char** argv) {
+int main() {
   pgmcml::bench::Manifest manifest("table2_library");
   print_table2();
 
@@ -83,7 +63,5 @@ int main(int argc, char** argv) {
   }
 
   manifest.write();
-  benchmark::Initialize(&argc, argv);
-  benchmark::RunSpecifiedBenchmarks();
   return 0;
 }

@@ -3,8 +3,6 @@
 // runs AES.  The headline result: PG-MCML cuts the MCML average power by
 // orders of magnitude (the paper reports ~10^4 at 0.01 % ISE duty) and lands
 // in static CMOS's power class.
-#include <benchmark/benchmark.h>
-
 #include "bench_manifest.hpp"
 
 #include <cstdio>
@@ -83,29 +81,11 @@ void print_table3() {
   std::printf("\n");
 }
 
-void BM_IseExperiment(benchmark::State& state) {
-  core::IseExperimentOptions opt;
-  opt.blocks = 2;
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(core::run_ise_experiment(opt));
-  }
-}
-BENCHMARK(BM_IseExperiment)->Unit(benchmark::kMillisecond);
-
-void BM_AesOnCpu(benchmark::State& state) {
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(or1k::run_aes_program({}, {}, {true, 1, 0}));
-  }
-}
-BENCHMARK(BM_AesOnCpu)->Unit(benchmark::kMicrosecond);
-
 }  // namespace
 
-int main(int argc, char** argv) {
+int main() {
   pgmcml::bench::Manifest manifest("table3_sbox_ise");
   print_table3();
   manifest.write();
-  benchmark::Initialize(&argc, argv);
-  benchmark::RunSpecifiedBenchmarks();
   return 0;
 }
