@@ -73,12 +73,13 @@ std::unique_ptr<spice::Circuit> make_swept_chain() {
   c->add_vsource("V1", in, c->gnd(), spice::SourceSpec::dc(0.0));
   spice::NodeId prev = in;
   for (int i = 0; i < 6; ++i) {
-    const auto out = c->node("n" + std::to_string(i));
-    c->add_mosfet("MP" + std::to_string(i), out, prev, vdd, vdd,
+    const std::string k = std::to_string(i);
+    const auto out = c->node("n" + k);
+    c->add_mosfet("MP" + k, out, prev, vdd, vdd,
                   tech.pmos(spice::VtFlavor::kLowVt, 2e-6));
-    c->add_mosfet("MN" + std::to_string(i), out, prev, c->gnd(), c->gnd(),
+    c->add_mosfet("MN" + k, out, prev, c->gnd(), c->gnd(),
                   tech.nmos(spice::VtFlavor::kHighVt, 1e-6));
-    c->add_capacitor("CL" + std::to_string(i), out, c->gnd(), 2e-15);
+    c->add_capacitor("CL" + k, out, c->gnd(), 2e-15);
     prev = out;
   }
   return c;

@@ -20,6 +20,8 @@
 
 #include <cstdio>
 #include <cstdlib>
+#include <filesystem>
+#include <stdexcept>
 #include <string>
 #include <thread>
 #include <vector>
@@ -38,15 +40,28 @@ namespace {
 using namespace pgmcml;
 namespace json = obs::json;
 
-std::string make_temp_dir() {
-  char tmpl[] = "/tmp/pgmcml-bench-service-XXXXXX";
-  const char* dir = ::mkdtemp(tmpl);
-  if (dir == nullptr) {
-    std::fprintf(stderr, "FAIL: mkdtemp failed\n");
-    std::exit(1);
+/// The run's socket and cache directory under /tmp, removed with
+/// everything in it however the run ends.
+class TempDir {
+ public:
+  TempDir() {
+    char tmpl[] = "/tmp/pgmcml-bench-service-XXXXXX";
+    const char* dir = ::mkdtemp(tmpl);
+    if (dir == nullptr) throw std::runtime_error("mkdtemp failed");
+    path_ = dir;
   }
-  return dir;
-}
+  ~TempDir() {
+    std::error_code ignored;
+    std::filesystem::remove_all(path_, ignored);
+  }
+  TempDir(const TempDir&) = delete;
+  TempDir& operator=(const TempDir&) = delete;
+
+  const std::string& path() const { return path_; }
+
+ private:
+  std::string path_;
+};
 
 /// The benchmark workload: the builtin 90 nm typical corner, the paper's
 /// MCML operating point, characterize (smoke: four cells; full: the whole
@@ -83,13 +98,10 @@ json::Value make_experiment(bool smoke) {
   return json::Value(std::move(e));
 }
 
-}  // namespace
-
-int main() {
+int run(const std::string& dir) {
   bench::Manifest manifest("service");
   const bool smoke = bench::smoke_mode();
 
-  const std::string dir = make_temp_dir();
   if (std::getenv("PGMCML_CACHE_DIR") == nullptr) {
     cache::CacheOptions cache_options;
     cache_options.enabled = true;
@@ -213,4 +225,16 @@ int main() {
     return 1;
   }
   return 0;
+}
+
+}  // namespace
+
+int main() {
+  try {
+    const TempDir dir;
+    return run(dir.path());
+  } catch (const std::exception& e) {
+    std::fprintf(stderr, "FAIL: %s\n", e.what());
+    return 1;
+  }
 }

@@ -64,7 +64,8 @@ int main() {
       t3.row({util::Table::num(drive, 0), "-", "FAIL: " + ch.error, "-"});
       continue;
     }
-    t3.row({"X" + util::Table::num(drive, 0),
+    const std::string drive_label = util::Table::num(drive, 0);
+    t3.row({"X" + drive_label,
             util::Table::num(d.eff_iss() * 1e6, 0),
             util::Table::eng(ch.delay, "s"),
             util::Table::num(ch.static_current * 1e6, 1)});

@@ -3,12 +3,11 @@
 namespace pgmcml::aes {
 namespace {
 
-/// Builds both S-boxes from the field inverse + affine map so the tables are
+/// Builds the S-box from the field inverse + affine map so the table is
 /// self-derived rather than transcribed (and the test suite cross-checks a
 /// handful of published values).
 struct SboxTables {
   std::array<std::uint8_t, 256> fwd{};
-  std::array<std::uint8_t, 256> inv{};
 
   SboxTables() {
     // Multiplicative inverse in GF(2^8) via exhaustive search (tiny domain).
@@ -35,7 +34,6 @@ struct SboxTables {
       }
       fwd[x] = y;
     }
-    for (int x = 0; x < 256; ++x) inv[fwd[x]] = static_cast<std::uint8_t>(x);
   }
 };
 
@@ -64,7 +62,6 @@ std::uint8_t gf_mul(std::uint8_t a, std::uint8_t b) {
 }
 
 const std::array<std::uint8_t, 256>& sbox() { return tables().fwd; }
-const std::array<std::uint8_t, 256>& inv_sbox() { return tables().inv; }
 
 KeySchedule expand_key(const Key& key) {
   KeySchedule ks;
@@ -98,25 +95,12 @@ void sub_bytes(Block& state) {
   for (auto& b : state) b = sbox()[b];
 }
 
-void inv_sub_bytes(Block& state) {
-  for (auto& b : state) b = inv_sbox()[b];
-}
-
 // State layout: column-major as in FIPS-197 (byte i is row i%4, col i/4).
 void shift_rows(Block& s) {
   Block t = s;
   for (int r = 1; r < 4; ++r) {
     for (int c = 0; c < 4; ++c) {
       s[r + 4 * c] = t[r + 4 * ((c + r) % 4)];
-    }
-  }
-}
-
-void inv_shift_rows(Block& s) {
-  Block t = s;
-  for (int r = 1; r < 4; ++r) {
-    for (int c = 0; c < 4; ++c) {
-      s[r + 4 * ((c + r) % 4)] = t[r + 4 * c];
     }
   }
 }
@@ -129,21 +113,6 @@ void mix_columns(Block& s) {
     col[1] = static_cast<std::uint8_t>(a0 ^ xtime(a1) ^ (xtime(a2) ^ a2) ^ a3);
     col[2] = static_cast<std::uint8_t>(a0 ^ a1 ^ xtime(a2) ^ (xtime(a3) ^ a3));
     col[3] = static_cast<std::uint8_t>((xtime(a0) ^ a0) ^ a1 ^ a2 ^ xtime(a3));
-  }
-}
-
-void inv_mix_columns(Block& s) {
-  for (int c = 0; c < 4; ++c) {
-    std::uint8_t* col = &s[4 * c];
-    const std::uint8_t a0 = col[0], a1 = col[1], a2 = col[2], a3 = col[3];
-    col[0] = static_cast<std::uint8_t>(gf_mul(a0, 0x0e) ^ gf_mul(a1, 0x0b) ^
-                                       gf_mul(a2, 0x0d) ^ gf_mul(a3, 0x09));
-    col[1] = static_cast<std::uint8_t>(gf_mul(a0, 0x09) ^ gf_mul(a1, 0x0e) ^
-                                       gf_mul(a2, 0x0b) ^ gf_mul(a3, 0x0d));
-    col[2] = static_cast<std::uint8_t>(gf_mul(a0, 0x0d) ^ gf_mul(a1, 0x09) ^
-                                       gf_mul(a2, 0x0e) ^ gf_mul(a3, 0x0b));
-    col[3] = static_cast<std::uint8_t>(gf_mul(a0, 0x0b) ^ gf_mul(a1, 0x0d) ^
-                                       gf_mul(a2, 0x09) ^ gf_mul(a3, 0x0e));
   }
 }
 
@@ -160,22 +129,6 @@ Block encrypt(const Block& plaintext, const Key& key) {
   sub_bytes(s);
   shift_rows(s);
   add_round_key(s, ks.round_keys[10]);
-  return s;
-}
-
-Block decrypt(const Block& ciphertext, const Key& key) {
-  const KeySchedule ks = expand_key(key);
-  Block s = ciphertext;
-  add_round_key(s, ks.round_keys[10]);
-  inv_shift_rows(s);
-  inv_sub_bytes(s);
-  for (int round = 9; round >= 1; --round) {
-    add_round_key(s, ks.round_keys[round]);
-    inv_mix_columns(s);
-    inv_shift_rows(s);
-    inv_sub_bytes(s);
-  }
-  add_round_key(s, ks.round_keys[0]);
   return s;
 }
 

@@ -11,7 +11,7 @@ namespace pgmcml::cache {
 namespace {
 
 /// Process-wide cache.* counter handles, hoisted once (Registry handles
-/// stay valid for the registry's lifetime; reset() zeroes values only).
+/// stay valid for the registry's lifetime).
 struct ObsCounters {
   obs::Counter hit, miss, evict, store, corrupt, bytes_read, bytes_written;
   ObsCounters() {

@@ -219,14 +219,14 @@ obs::json::Value run_experiment(const Experiment& e,
     if (control.cancelled && control.cancelled()) throw CancelledError(where);
   };
   check_cancel("start");
-  obs::json::Object report;
-  report.emplace_back("experiment", e.name);
-  report.emplace_back("digest", experiment_digest(e).hex());
-  report.emplace_back("technology", e.technology.name);
-  report.emplace_back("corner", e.technology.corner_label);
-  report.emplace_back("style", style_label(e.variant.style));
-  report.emplace_back("variant", e.variant.name);
-  report.emplace_back("task", to_string(e.plan.task));
+  obs::json::Object report = {
+      {"experiment", e.name},
+      {"digest", experiment_digest(e).hex()},
+      {"technology", e.technology.name},
+      {"corner", e.technology.corner_label},
+      {"style", style_label(e.variant.style)},
+      {"variant", e.variant.name},
+      {"task", to_string(e.plan.task)}};
 
   switch (e.plan.task) {
     case PlanTask::kCharacterize: {
@@ -297,12 +297,11 @@ obs::json::Value run_experiment(const Experiment& e,
       if (e.plan.dpa_flow.compute_static) {
         const auto window_json = [key](const sca::StaticPowerResult& w,
                                        std::size_t mtd) {
-          obs::json::Object o;
-          o.emplace_back("window", std::string(sca::to_string(w.window)));
-          o.emplace_back("key_rank", w.key_rank(key));
-          o.emplace_back("margin", w.margin(key));
-          o.emplace_back("mtd", static_cast<std::uint64_t>(mtd));
-          return obs::json::Value(std::move(o));
+          return obs::json::Value(obs::json::Object{
+              {"window", std::string(sca::to_string(w.window))},
+              {"key_rank", w.key_rank(key)},
+              {"margin", w.margin(key)},
+              {"mtd", static_cast<std::uint64_t>(mtd)}});
         };
         obs::json::Array windows;
         windows.push_back(window_json(r.static_awake, r.static_awake_mtd));

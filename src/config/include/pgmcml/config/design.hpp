@@ -46,7 +46,4 @@ struct CellVariant {
 CellVariant cell_variant_from_json(const obs::json::Value& doc,
                                    const std::string& doc_label);
 
-/// Writes a complete cell_variant document (inverse of the parser).
-obs::json::Value cell_variant_to_json(const CellVariant& v);
-
 }  // namespace pgmcml::config

@@ -18,12 +18,4 @@ std::optional<double> AreaModel::cmos_area(CellKind kind) const {
   return pg_area(kind) / *info.cmos_area_ratio;
 }
 
-int AreaModel::estimate_pitches(CellKind kind, bool power_gated) const {
-  // Empirically the library's cells place ~1.8 transistors per pitch, with
-  // wiring-heavy cells (the full adder) closer to 1.6.  This is only a
-  // sanity check against the committed layout data.
-  const int t = transistor_count(kind, power_gated);
-  return static_cast<int>(std::lround(t * 0.58));
-}
-
 }  // namespace pgmcml::mcml

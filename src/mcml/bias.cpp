@@ -13,12 +13,6 @@ using spice::NodeId;
 using spice::SourceSpec;
 
 double replica_tail_current(const McmlDesign& design, double vn,
-                            double v_common) {
-  spice::NewtonWorkspace ws;
-  return replica_tail_current(design, vn, v_common, ws);
-}
-
-double replica_tail_current(const McmlDesign& design, double vn,
                             double v_common, spice::NewtonWorkspace& ws) {
   Circuit c;
   const NodeId vdd = c.node("vdd");
@@ -54,11 +48,6 @@ double replica_tail_current(const McmlDesign& design, double vn,
   // negate to report the conventional (positive) tail current.
   const auto id = c.find_device("VCLAMP");
   return -c.device(id).probe_current(sol);
-}
-
-double replica_buffer_swing(const McmlDesign& design, double vn, double vp) {
-  spice::NewtonWorkspace ws;
-  return replica_buffer_swing(design, vn, vp, ws);
 }
 
 double replica_buffer_swing(const McmlDesign& design, double vn, double vp,

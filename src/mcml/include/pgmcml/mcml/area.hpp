@@ -40,10 +40,6 @@ class AreaModel {
   /// Drive-strength scaling: an X`k` cell is wider.  The paper's X4 buffer
   /// roughly triples the X1 footprint; we model width' = 1 + 0.75*(k-1).
   double drive_scale(double drive) const { return 1.0 + 0.75 * (drive - 1.0); }
-
-  /// Heuristic pitch estimate from transistor count (cross-check only; the
-  /// committed layout data is cell_info().pitch_count).
-  int estimate_pitches(CellKind kind, bool power_gated) const;
 };
 
 }  // namespace pgmcml::mcml

@@ -28,20 +28,18 @@ struct BiasResult {
 BiasResult solve_bias(McmlDesign& design);
 
 /// Tail current of the (possibly gated) tail stack at a given Vn, with the
-/// common node clamped to a representative voltage.
-double replica_tail_current(const McmlDesign& design, double vn,
-                            double v_common = 0.3);
-
-/// Output swing of a DC-driven buffer at a given (vn, vp).
-double replica_buffer_swing(const McmlDesign& design, double vn, double vp);
-
-/// Workspace-reusing variants.  Each bisection in solve_bias evaluates the
-/// same replica topology dozens of times; sharing a workspace lets every
-/// evaluation after the first skip the symbolic analysis and reuse the
-/// solver's buffers (the replica circuit itself is still rebuilt, but the
-/// expensive part of the solve is structure-keyed, not circuit-keyed).
+/// common node clamped to `v_common` (solve_bias uses 0.3 V).
+///
+/// Each bisection in solve_bias evaluates the same replica topology dozens
+/// of times; sharing the workspace `ws` lets every evaluation after the
+/// first skip the symbolic analysis and reuse the solver's buffers (the
+/// replica circuit itself is still rebuilt, but the expensive part of the
+/// solve is structure-keyed, not circuit-keyed).
 double replica_tail_current(const McmlDesign& design, double vn,
                             double v_common, spice::NewtonWorkspace& ws);
+
+/// Output swing of a DC-driven buffer at a given (vn, vp), reusing `ws`
+/// like replica_tail_current.
 double replica_buffer_swing(const McmlDesign& design, double vn, double vp,
                             spice::NewtonWorkspace& ws);
 

@@ -146,39 +146,4 @@ Design::Stats Design::stats(const cells::CellLibrary& lib) const {
   return s;
 }
 
-std::vector<Design::LintIssue> Design::lint() const {
-  std::vector<LintIssue> issues;
-  const std::vector<InstId> driver = driver_map();
-  std::vector<bool> is_input(num_nets(), false);
-  for (NetId n : inputs_) is_input[n] = true;
-  std::vector<bool> is_read(num_nets(), false);
-  for (NetId n : outputs_) is_read[n] = true;
-
-  for (std::size_t i = 0; i < instances_.size(); ++i) {
-    const Instance& inst = instances_[i];
-    auto check_in = [&](NetId n) {
-      if (n == kNoNet) return;
-      is_read[n] = true;
-      if (driver[n] < 0 && !is_input[n]) {
-        issues.push_back(LintIssue{LintIssue::Kind::kUndrivenInput, n,
-                                   static_cast<InstId>(i)});
-      }
-    };
-    for (NetId n : inst.inputs) check_in(n);
-    check_in(inst.clk);
-    check_in(inst.ctrl);
-  }
-  for (NetId n = 0; n < static_cast<NetId>(num_nets()); ++n) {
-    if (driver[n] >= 0 && !is_read[n]) {
-      issues.push_back(LintIssue{LintIssue::Kind::kDanglingNet, n, driver[n]});
-    }
-  }
-  for (NetId n : outputs_) {
-    if (driver[n] < 0 && !is_input[n]) {
-      issues.push_back(LintIssue{LintIssue::Kind::kUndrivenOutput, n, -1});
-    }
-  }
-  return issues;
-}
-
 }  // namespace pgmcml::netlist

@@ -82,17 +82,6 @@ class Design {
   };
   Stats stats(const cells::CellLibrary& lib) const;
 
-  /// Structural lint: undriven instance inputs, dangling (unread) internal
-  /// nets, and outputs without a driver.  Clean synthesized designs report
-  /// no issues; hand-built test designs may legitimately have some.
-  struct LintIssue {
-    enum class Kind { kUndrivenInput, kDanglingNet, kUndrivenOutput };
-    Kind kind;
-    NetId net = kNoNet;
-    InstId instance = -1;
-  };
-  std::vector<LintIssue> lint() const;
-
  private:
   std::string name_;
   std::vector<std::string> net_names_;

@@ -47,7 +47,6 @@ class LogicSim {
 
   /// Output toggles of each instance since construction (activity factors).
   std::size_t toggle_count(InstId inst) const { return toggles_.at(inst); }
-  std::size_t total_toggles() const;
 
  private:
   struct Pending {

@@ -184,10 +184,4 @@ void LogicSim::apply_and_settle(
   }
 }
 
-std::size_t LogicSim::total_toggles() const {
-  std::size_t sum = 0;
-  for (std::size_t t : toggles_) sum += t;
-  return sum;
-}
-
 }  // namespace pgmcml::netlist

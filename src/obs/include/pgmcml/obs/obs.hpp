@@ -19,8 +19,7 @@
 // Hot-path cost: one relaxed atomic RMW per counter increment; a histogram
 // observation is a handful of relaxed RMWs.  Handle lookup (Registry::
 // counter / histogram) takes a mutex -- hoist handles out of inner loops
-// (function-local statics are the usual pattern; Registry::reset zeroes
-// values but never invalidates handles).
+// (function-local statics are the usual pattern).
 #pragma once
 
 #include <array>
@@ -74,7 +73,6 @@ struct Snapshot {
   /// {"counters": {...}, "histograms": {name: {count, sum, min, max,
   /// buckets: [[index, count], ...]}}} with sparse bucket encoding.
   json::Value to_json() const;
-  std::string to_json_string() const;
   /// Inverse of to_json (tolerates missing sections).  Throws on malformed
   /// structure.
   static Snapshot from_json(const json::Value& v);
@@ -83,7 +81,7 @@ struct Snapshot {
 class Registry;
 
 /// Cheap handle to one named counter.  Copyable; valid for the lifetime of
-/// its Registry (reset() zeroes the value but keeps the cell).
+/// its Registry.
 class Counter {
  public:
   Counter() = default;
@@ -133,10 +131,6 @@ class Registry {
   /// Consistent point-in-time copy of every metric, ordered by name.
   Snapshot snapshot() const;
 
-  /// Zeroes every metric value.  Handles stay valid -- benches call this
-  /// between phases to attribute counts.
-  void reset();
-
   static Registry& global();
 
  private:
@@ -156,9 +150,6 @@ class ScopedTimer {
   ~ScopedTimer();
   ScopedTimer(const ScopedTimer&) = delete;
   ScopedTimer& operator=(const ScopedTimer&) = delete;
-
-  /// The calling thread's current span path ("" outside any span).
-  static std::string current_path();
 
  private:
   Registry* registry_;

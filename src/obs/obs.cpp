@@ -86,8 +86,6 @@ json::Value Snapshot::to_json() const {
   return json::Value(std::move(root));
 }
 
-std::string Snapshot::to_json_string() const { return to_json().dump(); }
-
 Snapshot Snapshot::from_json(const json::Value& v) {
   Snapshot snap;
   if (const json::Value* c = v.find("counters")) {
@@ -133,16 +131,6 @@ struct Histogram::Cell {
   std::atomic<double> min{std::numeric_limits<double>::infinity()};
   std::atomic<double> max{-std::numeric_limits<double>::infinity()};
   std::array<std::atomic<std::uint64_t>, kHistogramBuckets> buckets{};
-
-  void reset() {
-    count.store(0, std::memory_order_relaxed);
-    sum.store(0.0, std::memory_order_relaxed);
-    min.store(std::numeric_limits<double>::infinity(),
-              std::memory_order_relaxed);
-    max.store(-std::numeric_limits<double>::infinity(),
-              std::memory_order_relaxed);
-    for (auto& b : buckets) b.store(0, std::memory_order_relaxed);
-  }
 
   HistogramData data() const {
     HistogramData d;
@@ -216,14 +204,6 @@ Snapshot Registry::snapshot() const {
   return snap;
 }
 
-void Registry::reset() {
-  std::lock_guard<std::mutex> lock(impl_->mu);
-  for (auto& [name, cell] : impl_->counters) {
-    cell->store(0, std::memory_order_relaxed);
-  }
-  for (auto& [name, cell] : impl_->histograms) cell->reset();
-}
-
 Registry& Registry::global() {
   static Registry instance;
   return instance;
@@ -250,7 +230,5 @@ ScopedTimer::~ScopedTimer() {
   registry_->histogram("time/" + tl_span_path).observe(seconds);
   tl_span_path.resize(prev_length_);
 }
-
-std::string ScopedTimer::current_path() { return tl_span_path; }
 
 }  // namespace pgmcml::obs

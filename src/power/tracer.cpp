@@ -191,7 +191,7 @@ namespace {
 /// corner, and MCML leg imbalance has a common layout-orientation component
 /// on top of the per-instance residual_.  Magnitudes are calibrated against
 /// the transistor-level state-leakage measurement
-/// (mcml::measure_state_leakage), which shows the same ordering.
+/// (measure_state_leakage in tests/support), which shows the same ordering.
 constexpr double kCmosStateLeakAsym = 0.35;
 constexpr double kMcmlSystematicImbalance = 0.006;
 

@@ -448,13 +448,6 @@ CpaResult CpaAccumulator::snapshot(bool keep_time_curves) const {
 DpaAccumulator::DpaAccumulator(std::size_t samples)
     : m_(samples), buckets_(samples) {}
 
-void DpaAccumulator::add(std::uint8_t plaintext,
-                         std::span<const double> trace) {
-  TraceBatch one;
-  one.add(plaintext, trace);
-  add_batch(one);
-}
-
 void DpaAccumulator::add_batch(const TraceBatch& batch) {
   const std::size_t nb = batch.size();
   if (nb == 0) return;
@@ -611,13 +604,6 @@ StaticPowerAccumulator::StaticPowerAccumulator(LeakageModel model,
                                                StaticWindow window)
     : model_(model), window_(window), m_(samples) {}
 
-void StaticPowerAccumulator::add(std::uint8_t plaintext,
-                                 std::span<const double> trace) {
-  TraceBatch one;
-  one.add(plaintext, trace);
-  add_batch(one);
-}
-
 void StaticPowerAccumulator::add_batch(const TraceBatch& batch) {
   const std::size_t nb = batch.size();
   if (nb == 0) return;
@@ -696,13 +682,6 @@ StaticPowerResult StaticPowerAccumulator::snapshot() const {
 
 MlpaAccumulator::MlpaAccumulator(std::size_t samples)
     : m_(samples), buckets_(samples) {}
-
-void MlpaAccumulator::add(std::uint8_t plaintext,
-                          std::span<const double> trace) {
-  TraceBatch one;
-  one.add(plaintext, trace);
-  add_batch(one);
-}
 
 void MlpaAccumulator::add_batch(const TraceBatch& batch) {
   const std::size_t nb = batch.size();

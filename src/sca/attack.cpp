@@ -39,15 +39,6 @@ double CpaResult::margin(std::uint8_t true_key) const {
   return peak_correlation[true_key] - best_wrong;
 }
 
-int DpaResult::key_rank(std::uint8_t true_key) const {
-  int rank = 0;
-  const double mine = peak_difference[true_key];
-  for (int k = 0; k < 256; ++k) {
-    if (k != true_key && peak_difference[k] > mine) ++rank;
-  }
-  return rank;
-}
-
 std::pair<std::size_t, std::size_t> static_window_bounds(StaticWindow window,
                                                          std::size_t m) {
   // The awake window takes the rounding slack so a 1-sample trace still has

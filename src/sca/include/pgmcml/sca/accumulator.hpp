@@ -18,7 +18,7 @@
 //     gives each sample column to exactly one task, so the arithmetic
 //     sequence per state slot is identical at any thread count AND for any
 //     batching of the same trace stream: add_batch of n traces is bitwise
-//     identical to n calls of add(), and to any split of the stream into
+//     identical to n one-trace batches, and to any split of the stream into
 //     smaller batches.  This is why MTD checkpoints (which split batches at
 //     grid boundaries) do not perturb the final result by even one ulp.
 //   * snapshot() parallelizes over fixed sample-column blocks; every column
@@ -137,8 +137,8 @@ class DpaAccumulator {
   std::size_t samples_per_trace() const { return m_; }
   std::size_t num_traces() const { return buckets_.num_traces(); }
 
-  void add(std::uint8_t plaintext, std::span<const double> trace);
-  /// Serial O(samples) fold per trace; bitwise identical to serial add().
+  /// Serial O(samples) fold per trace; bitwise invariant to the batching
+  /// of the stream.
   void add_batch(const TraceBatch& batch);
   /// Exact count merge plus re-shifted bucket sums.
   void merge(const DpaAccumulator& other);
@@ -210,9 +210,8 @@ class StaticPowerAccumulator {
   std::size_t samples_per_trace() const { return m_; }
   std::size_t num_traces() const { return n_; }
 
-  void add(std::uint8_t plaintext, std::span<const double> trace);
-  /// Serial fold in trace order: bitwise identical to per-trace add() for
-  /// any batching of the same stream.
+  /// Serial fold in trace order: bitwise invariant to the batching of the
+  /// stream.
   void add_batch(const TraceBatch& batch);
   /// Chan-merge of a disjoint accumulator over the same model/window/samples.
   void merge(const StaticPowerAccumulator& other);
@@ -251,8 +250,8 @@ class MlpaAccumulator {
   std::size_t samples_per_trace() const { return m_; }
   std::size_t num_traces() const { return buckets_.num_traces(); }
 
-  void add(std::uint8_t plaintext, std::span<const double> trace);
-  /// Serial O(samples) fold per trace; bitwise identical to serial add().
+  /// Serial O(samples) fold per trace; bitwise invariant to the batching
+  /// of the stream.
   void add_batch(const TraceBatch& batch);
   /// Exact count merge plus re-shifted bucket sums.
   void merge(const MlpaAccumulator& other);

@@ -66,7 +66,6 @@ struct DpaResult {
   /// max_t |mean1(t) - mean0(t)| for each key guess.
   std::array<double, 256> peak_difference{};
   int best_guess = -1;
-  int key_rank(std::uint8_t true_key) const;
 };
 
 /// Which gating phase of a quiescent trace the static-power attack reads.

@@ -28,8 +28,7 @@ class SnapshotWriter {
   void u8(std::uint8_t v) { out_.push_back(static_cast<char>(v)); }
   void u32(std::uint32_t v) { raw(&v, sizeof v); }
   void u64(std::uint64_t v) { raw(&v, sizeof v); }
-  /// Doubles are copied bit for bit (native IEEE-754, little-endian -- the
-  /// same convention as the binary trace-file format).
+  /// Doubles are copied bit for bit (native IEEE-754, little-endian).
   void f64(double v) { raw(&v, sizeof v); }
   void f64_span(std::span<const double> v) {
     u64(v.size());
@@ -62,9 +61,6 @@ class SnapshotReader {
   std::uint32_t u32();
   std::uint64_t u64();
   double f64();
-  /// Reads a length-prefixed double vector, rejecting lengths beyond the
-  /// remaining buffer (a corrupt length cannot trigger a huge allocation).
-  std::vector<double> f64_vector();
   /// Reads exactly `expect` doubles into `out` (resized), validating the
   /// stored length first.
   void f64_into(std::vector<double>& out, std::size_t expect);

@@ -4,12 +4,12 @@
 // A TraceSource yields traces in fixed-size batches of (plaintext, samples)
 // pairs.  Consumers (the accumulator engines in accumulator.hpp) fold each
 // batch into running statistics and discard it, so a full campaign -- SPICE
-// acquisition, trace-file replay, or an in-memory TraceSet -- is analyzed
+// acquisition or an in-memory TraceSet -- is analyzed
 // with at most one batch resident at a time.
 //
 // Batches expose *views* (std::span) into storage owned by the source, which
 // lets the in-memory adapter stream a TraceSet with zero copies and lets
-// generating sources (acquisition, file readers) reuse one set of row
+// the generating acquisition source reuse one set of row
 // buffers for every batch.  A batch's views are valid until the next call to
 // next() on the source that produced it.
 //

@@ -35,17 +35,6 @@ double SnapshotReader::f64() {
   return v;
 }
 
-std::vector<double> SnapshotReader::f64_vector() {
-  const std::uint64_t n = u64();
-  if (n > remaining() / sizeof(double)) {
-    throw std::runtime_error("sca snapshot: vector length exceeds stream");
-  }
-  std::vector<double> out(static_cast<std::size_t>(n));
-  std::memcpy(out.data(), raw(out.size() * sizeof(double)),
-              out.size() * sizeof(double));
-  return out;
-}
-
 void SnapshotReader::f64_into(std::vector<double>& out, std::size_t expect) {
   const std::uint64_t n = u64();
   if (n != expect) {

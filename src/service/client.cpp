@@ -9,26 +9,12 @@
 
 #include <cstring>
 #include <stdexcept>
-#include <utility>
 
 #include "pgmcml/config/reader.hpp"
 
 namespace pgmcml::service {
 
 Client::~Client() { close(); }
-
-Client::Client(Client&& other) noexcept
-    : fd_(std::exchange(other.fd_, -1)),
-      pending_(std::move(other.pending_)) {}
-
-Client& Client::operator=(Client&& other) noexcept {
-  if (this != &other) {
-    close();
-    fd_ = std::exchange(other.fd_, -1);
-    pending_ = std::move(other.pending_);
-  }
-  return *this;
-}
 
 void Client::close() {
   if (fd_ >= 0) ::close(fd_);

@@ -13,13 +13,12 @@ namespace pgmcml::service {
 /// One blocking connection to a daemon.  Requests and responses travel as
 /// newline-delimited JSON; call() pairs one send with one receive, which is
 /// the protocol's ordering guarantee (responses come back in request order
-/// per connection).  Move-only; the socket closes with the object.
+/// per connection).  Neither copyable nor movable: the factories return
+/// it by guaranteed copy elision, and the socket closes with the object.
 class Client {
  public:
   Client() = default;
   ~Client();
-  Client(Client&& other) noexcept;
-  Client& operator=(Client&& other) noexcept;
   Client(const Client&) = delete;
   Client& operator=(const Client&) = delete;
 

@@ -74,10 +74,9 @@ struct ServerOptions {
   /// deterministically.
   std::function<void()> test_job_hook;
 
-  /// Applies the PGMCML_SERVICE_* environment knobs on top of `base` (or
-  /// the defaults).  Parsing goes through util::env_u64, so a malformed
-  /// value throws at startup instead of silently serving with defaults.
-  static ServerOptions from_env();
+  /// Applies the PGMCML_SERVICE_* environment knobs on top of `base`.
+  /// Parsing goes through util::env_u64, so a malformed value throws at
+  /// startup instead of silently serving with defaults.
   static ServerOptions from_env(ServerOptions base);
 };
 
@@ -100,7 +99,6 @@ class Server {
   /// Blocks until a drain() has fully completed and every thread is joined.
   void wait();
 
-  bool draining() const;
   /// Bound TCP port (ephemeral resolved), or -1 when TCP is disabled.
   int tcp_port() const;
   /// Requests currently admitted but not yet picked up by a worker.

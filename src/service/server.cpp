@@ -466,8 +466,6 @@ obs::json::Value Server::Impl::statsz_body() {
   return obs::json::Value(std::move(body));
 }
 
-ServerOptions ServerOptions::from_env() { return from_env(ServerOptions{}); }
-
 ServerOptions ServerOptions::from_env(ServerOptions base) {
   if (const auto v = util::env_u64("PGMCML_SERVICE_WORKERS", 1, 256)) {
     base.workers = static_cast<std::size_t>(*v);
@@ -561,8 +559,6 @@ void Server::wait() {
   close_quiet(impl_->wake_pipe[0]);
   close_quiet(impl_->wake_pipe[1]);
 }
-
-bool Server::draining() const { return impl_->draining.load(); }
 
 int Server::tcp_port() const { return impl_->actual_tcp_port; }
 

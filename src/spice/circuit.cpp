@@ -136,29 +136,6 @@ double VoltageSource::probe_current(const Solution& x, double /*t*/) const {
   return x.branch(branch_);
 }
 
-// --- CurrentSource -------------------------------------------------------------
-
-CurrentSource::CurrentSource(std::string name, NodeId pos, NodeId neg,
-                             SourceSpec spec)
-    : Device(std::move(name)), pos_(pos), neg_(neg), spec_(std::move(spec)) {}
-
-void CurrentSource::stamp(StampContext& ctx) {
-  // SPICE convention: positive value flows from pos, through the source,
-  // into neg (i.e. it is extracted from node pos).
-  ctx.current(pos_, neg_, ctx.source_scale * spec_.value(ctx.t));
-}
-
-void CurrentSource::stamp_pattern(StampPatternBuilder& /*pat*/) const {
-  // RHS-only device: no Jacobian entries.
-}
-
-double CurrentSource::probe_current(const Solution& x, double t) const {
-  // Time-varying sources must be probed at the solution's own time, not at
-  // t = 0 (which silently froze PULSE/PWL sources at their initial value).
-  (void)x;
-  return spec_.value(t);
-}
-
 // --- Mosfet ----------------------------------------------------------------------
 
 Mosfet::Mosfet(std::string name, NodeId d, NodeId g, NodeId s, NodeId b,
@@ -285,11 +262,6 @@ NodeId Circuit::internal_node(const std::string& hint) {
   }
 }
 
-NodeId Circuit::find_node(const std::string& name) const {
-  auto it = node_index_.find(name);
-  return it == node_index_.end() ? -1 : it->second;
-}
-
 namespace {
 template <typename T, typename... Args>
 DeviceId add_device(std::vector<std::unique_ptr<Device>>& devices,
@@ -321,12 +293,6 @@ DeviceId Circuit::add_capacitor(const std::string& name, NodeId a, NodeId b,
 DeviceId Circuit::add_vsource(const std::string& name, NodeId pos, NodeId neg,
                               SourceSpec spec) {
   return add_device<VoltageSource>(devices_, device_index_, finalized_, name,
-                                   pos, neg, std::move(spec));
-}
-
-DeviceId Circuit::add_isource(const std::string& name, NodeId pos, NodeId neg,
-                              SourceSpec spec) {
-  return add_device<CurrentSource>(devices_, device_index_, finalized_, name,
                                    pos, neg, std::move(spec));
 }
 

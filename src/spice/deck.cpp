@@ -39,7 +39,7 @@ struct ModelKey {
 
 std::string describe_source(const SourceSpec& spec) {
   // DC sources print their value; time-varying sources print the value at
-  // t = 0 plus a comment (exact PULSE/PWL reconstruction would need the
+  // t = 0 plus a comment (exact PULSE reconstruction would need the
   // spec internals; the deck stays valid either way).
   std::ostringstream os;
   if (spec.is_dc()) {
@@ -82,10 +82,6 @@ std::string to_spice_deck(const Circuit& circuit, const std::string& title) {
     } else if (const auto* v = dynamic_cast<const VoltageSource*>(&dev)) {
       os << dev_name('V', dev.name()) << " " << node_name(circuit, t[0]) << " "
          << node_name(circuit, t[1]) << " " << describe_source(v->spec())
-         << "\n";
-    } else if (const auto* cs = dynamic_cast<const CurrentSource*>(&dev)) {
-      os << dev_name('I', dev.name()) << " " << node_name(circuit, t[0]) << " "
-         << node_name(circuit, t[1]) << " " << describe_source(cs->spec())
          << "\n";
     } else if (const auto* m = dynamic_cast<const Mosfet*>(&dev)) {
       const MosParams& p = m->params();

@@ -14,12 +14,11 @@
 namespace pgmcml::spice {
 namespace {
 
-std::atomic<std::size_t> g_workspace_allocations{0};
 std::atomic<int> g_default_backend{static_cast<int>(SolverBackend::kSparse)};
 
 /// Folds one analysis' effort counters into the global observability
 /// registry.  Handles are hoisted into function-local statics (one mutexed
-/// lookup per name for the whole process); Registry::reset keeps them valid.
+/// lookup per name for the whole process).
 void publish_engine_stats(const EngineStats& s) {
   auto& reg = obs::Registry::global();
   static struct Handles {
@@ -132,7 +131,6 @@ void prepare_workspace(NewtonWorkspace& ws, std::size_t n,
     reallocated = true;
   }
   if (reallocated) {
-    g_workspace_allocations.fetch_add(1, std::memory_order_relaxed);
     static obs::Counter realloc_counter =
         obs::Registry::global().counter("spice.workspace_reallocations");
     realloc_counter.add(1);
@@ -562,11 +560,12 @@ VoltageSource* find_sweep_source(Circuit& circuit,
                                  const std::string& source_name) {
   const DeviceId id = circuit.find_device(source_name);
   if (id < 0) {
-    throw std::invalid_argument("dc_sweep: no such source " + source_name);
+    throw std::invalid_argument("dc_sweep_batch: no such source " +
+                                source_name);
   }
   auto* source = dynamic_cast<VoltageSource*>(&circuit.device(id));
   if (source == nullptr) {
-    throw std::invalid_argument("dc_sweep: " + source_name +
+    throw std::invalid_argument("dc_sweep_batch: " + source_name +
                                 " is not a voltage source");
   }
   return source;
@@ -618,9 +617,6 @@ void TranOptions::validate() const {
   require_non_negative(gmin, "TranOptions: gmin");
 }
 
-std::size_t newton_workspace_allocations() {
-  return g_workspace_allocations.load(std::memory_order_relaxed);
-}
 
 SolverBackend default_solver_backend() {
   return static_cast<SolverBackend>(
@@ -632,11 +628,6 @@ void set_default_solver_backend(SolverBackend backend) {
                           std::memory_order_relaxed);
 }
 
-DcResult dc_operating_point(Circuit& circuit, const DcOptions& options) {
-  NewtonWorkspace ws;
-  return dc_operating_point(circuit, options, ws);
-}
-
 DcResult dc_operating_point(Circuit& circuit, const DcOptions& options,
                             NewtonWorkspace& ws) {
   obs::ScopedTimer span("spice.dc");
@@ -646,31 +637,6 @@ DcResult dc_operating_point(Circuit& circuit, const DcOptions& options,
   return result;
 }
 
-std::vector<DcResult> dc_sweep(Circuit& circuit,
-                               const std::string& source_name,
-                               const std::vector<double>& values,
-                               const DcOptions& options) {
-  obs::ScopedTimer span("spice.dc_sweep");
-  VoltageSource* source = find_sweep_source(circuit, source_name);
-  options.validate();
-  if (!circuit.finalized()) circuit.finalize();
-
-  NewtonWorkspace ws;
-  std::vector<DcResult> results;
-  results.reserve(values.size());
-  std::vector<double> warm;
-  for (std::size_t i = 0; i < values.size(); ++i) {
-    // Fault context = point index, matching dc_sweep_batch, so a plan
-    // targets the same sweep point in both entry points.
-    DcResult r = dc_sweep_point(circuit, source, values[i], options, warm, ws,
-                                options.fault_context + i);
-    if (r.converged) warm = r.x;
-    results.push_back(std::move(r));
-  }
-  publish_sweep_stats(results);
-  return results;
-}
-
 std::vector<DcResult> dc_sweep_batch(
     const std::function<std::unique_ptr<Circuit>()>& make_circuit,
     const std::string& source_name, const std::vector<double>& values,
@@ -678,7 +644,7 @@ std::vector<DcResult> dc_sweep_batch(
   obs::ScopedTimer span("spice.dc_sweep_batch");
   if (chunk == 0) chunk = 1;
   options.validate();
-  // Validate the factory and source name eagerly, matching dc_sweep's throws.
+  // Validate the factory and source name eagerly.
   {
     std::unique_ptr<Circuit> probe = make_circuit();
     if (probe == nullptr) {

@@ -254,7 +254,7 @@ class VoltageSource final : public Device {
   double probe_current(const Solution& x, double t) const override;
   std::vector<NodeId> terminals() const override { return {pos_, neg_}; }
   const SourceSpec& spec() const { return spec_; }
-  /// Replaces the source with a DC value (used by dc_sweep).
+  /// Replaces the source with a DC value (used by dc_sweep_batch).
   void set_value(double v) { spec_ = SourceSpec::dc(v); }
   std::size_t branch() const { return branch_; }
 
@@ -262,22 +262,6 @@ class VoltageSource final : public Device {
   NodeId pos_, neg_;
   SourceSpec spec_;
   std::size_t branch_ = 0;
-};
-
-class CurrentSource final : public Device {
- public:
-  /// Current flows from `pos` through the source to `neg` (SPICE convention:
-  /// positive value pulls current out of `pos` node).
-  CurrentSource(std::string name, NodeId pos, NodeId neg, SourceSpec spec);
-  void stamp(StampContext& ctx) override;
-  void stamp_pattern(StampPatternBuilder& pat) const override;
-  double probe_current(const Solution& x, double t) const override;
-  std::vector<NodeId> terminals() const override { return {pos_, neg_}; }
-  const SourceSpec& spec() const { return spec_; }
-
- private:
-  NodeId pos_, neg_;
-  SourceSpec spec_;
 };
 
 class Mosfet final : public Device {
@@ -360,16 +344,12 @@ class Circuit {
   NodeId gnd() const { return kGround; }
   std::size_t num_nodes() const { return node_names_.size(); }
   const std::string& node_name(NodeId n) const { return node_names_.at(n); }
-  /// Looks up an existing node by name; returns -1 if absent.
-  NodeId find_node(const std::string& name) const;
 
   DeviceId add_resistor(const std::string& name, NodeId a, NodeId b,
                         double ohms);
   DeviceId add_capacitor(const std::string& name, NodeId a, NodeId b,
                          double farads, double initial_voltage = 0.0);
   DeviceId add_vsource(const std::string& name, NodeId pos, NodeId neg,
-                       SourceSpec spec);
-  DeviceId add_isource(const std::string& name, NodeId pos, NodeId neg,
                        SourceSpec spec);
   DeviceId add_mosfet(const std::string& name, NodeId d, NodeId g, NodeId s,
                       NodeId b, const MosParams& params);

@@ -70,11 +70,6 @@ struct NewtonWorkspace {
   std::vector<double> mos_id, mos_gm, mos_gds, mos_gmb;
 };
 
-/// Process-wide count of Newton workspace (re)sizings.  Repeated solves of
-/// same-sized circuits must not move this counter after the first solve —
-/// the regression test for "no allocation inside the Newton inner loop".
-std::size_t newton_workspace_allocations();
-
 struct DcOptions {
   int max_iterations = 200;
   double reltol = 1e-4;
@@ -164,30 +159,22 @@ struct TranResult {
   std::vector<double> final_state;
 };
 
-/// Computes the DC operating point.
-DcResult dc_operating_point(Circuit& circuit, const DcOptions& options = {});
-
-/// Workspace-reusing variant for flows that solve one topology repeatedly
-/// (characterization corners, Monte-Carlo samples, bias replicas): the
-/// caller-owned workspace keeps its symbolic analysis and buffers across
-/// calls, so only the first solve of a topology pays for the analysis.
+/// Computes the DC operating point.  Flows that solve one topology
+/// repeatedly (characterization corners, Monte-Carlo samples, bias
+/// replicas) keep one caller-owned workspace, which holds its symbolic
+/// analysis and buffers across calls, so only the first solve of a topology
+/// pays for the analysis.
 DcResult dc_operating_point(Circuit& circuit, const DcOptions& options,
                             NewtonWorkspace& ws);
 
-/// DC sweep: re-solves the operating point for each value of a named DC
-/// voltage source, warm-starting each solve from the previous solution
-/// (the standard .dc analysis).  The source must be a DC VoltageSource.
-std::vector<DcResult> dc_sweep(Circuit& circuit,
-                               const std::string& source_name,
-                               const std::vector<double>& values,
-                               const DcOptions& options = {});
-
-/// Parallel DC sweep.  `make_circuit` must build a fresh, equivalent circuit
-/// on every call (workers never share one).  Values are processed in fixed
-/// batches of `chunk` points; within a batch each solve warm-starts from the
-/// previous point exactly like dc_sweep, and batch boundaries depend only on
-/// `chunk` — never on the worker count — so the results are identical at any
-/// PGMCML_THREADS setting, including the serial fallback.
+/// DC sweep (the standard .dc analysis): re-solves the operating point for
+/// each value of a named DC VoltageSource.  `make_circuit` must build a
+/// fresh, equivalent circuit on every call (workers never share one).
+/// Values are processed in fixed batches of `chunk` points; within a batch
+/// each solve warm-starts from the previous point's solution, and batch
+/// boundaries depend only on `chunk` — never on the worker count — so the
+/// results are identical at any PGMCML_THREADS setting, including the
+/// serial fallback.  `chunk` >= values.size() is one serial warm chain.
 std::vector<DcResult> dc_sweep_batch(
     const std::function<std::unique_ptr<Circuit>()>& make_circuit,
     const std::string& source_name, const std::vector<double>& values,

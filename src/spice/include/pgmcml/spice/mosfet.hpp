@@ -56,7 +56,4 @@ struct MosEval {
 /// by the physical device, i.e. typically negative for PMOS).
 MosEval mos_eval(const MosParams& p, double vgs, double vds, double vbs);
 
-/// Threshold voltage including body effect (NMOS-equivalent convention).
-double mos_vth(const MosParams& p, double vbs_equiv);
-
 }  // namespace pgmcml::spice

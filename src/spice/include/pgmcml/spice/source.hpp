@@ -1,11 +1,10 @@
 // Time-dependent source descriptions for independent V/I sources.
 //
-// Mirrors the SPICE source primitives we need: DC, PULSE and PWL.  Sources
+// Mirrors the SPICE source primitives we need: DC and PULSE.  Sources
 // also expose their corner times as breakpoints so the transient engine can
 // land a timestep exactly on every edge.
 #pragma once
 
-#include <utility>
 #include <vector>
 
 namespace pgmcml::spice {
@@ -20,9 +19,6 @@ class SourceSpec {
   static SourceSpec pulse(double v0, double v1, double delay, double t_rise,
                           double t_fall, double width, double period = 0.0);
 
-  /// Piecewise-linear source from (time, value) pairs (time-sorted).
-  static SourceSpec pwl(std::vector<std::pair<double, double>> points);
-
   /// Default: a 0 V / 0 A DC source.
   SourceSpec() = default;
 
@@ -36,7 +32,7 @@ class SourceSpec {
   bool is_dc() const { return kind_ == Kind::kDc; }
 
  private:
-  enum class Kind { kDc, kPulse, kPwl };
+  enum class Kind { kDc, kPulse };
 
   Kind kind_ = Kind::kDc;
   // DC / PULSE parameters.
@@ -47,8 +43,6 @@ class SourceSpec {
   double t_fall_ = 0.0;
   double width_ = 0.0;
   double period_ = 0.0;
-  // PWL points.
-  std::vector<std::pair<double, double>> points_;
 };
 
 }  // namespace pgmcml::spice

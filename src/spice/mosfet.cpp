@@ -63,11 +63,6 @@ FwdEval eval_forward(const MosParams& p, double vgs, double vds, double vbs) {
 
 }  // namespace
 
-double mos_vth(const MosParams& p, double vbs_equiv) {
-  const double phi_eff = std::max(p.phi - vbs_equiv, 0.02);
-  return p.vth0 + p.gamma * (std::sqrt(phi_eff) - std::sqrt(p.phi));
-}
-
 MosEval mos_eval(const MosParams& p, double vgs, double vds, double vbs) {
   // Map PMOS onto the NMOS-equivalent model by negating terminal voltages.
   const double sign = p.is_nmos ? 1.0 : -1.0;

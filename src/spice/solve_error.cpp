@@ -156,11 +156,11 @@ EngineStats EngineStats::from_json_value(const obs::json::Value& v) {
 }
 
 obs::json::Value FlowDiagnostics::to_json_value() const {
-  obs::json::Object o;
-  o.emplace_back("attempts", static_cast<std::uint64_t>(attempts));
-  o.emplace_back("retries", static_cast<std::uint64_t>(retries));
-  o.emplace_back("recovered", static_cast<std::uint64_t>(recovered));
-  o.emplace_back("skipped", static_cast<std::uint64_t>(skipped));
+  obs::json::Object o = {
+      {"attempts", static_cast<std::uint64_t>(attempts)},
+      {"retries", static_cast<std::uint64_t>(retries)},
+      {"recovered", static_cast<std::uint64_t>(recovered)},
+      {"skipped", static_cast<std::uint64_t>(skipped)}};
   obs::json::Array inc;
   for (const FlowIncident& i : incidents) {
     obs::json::Object io;

@@ -3,8 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <stdexcept>
-
-#include "pgmcml/util/stats.hpp"
+#include <string>
 
 namespace pgmcml::spice {
 
@@ -53,20 +52,6 @@ SourceSpec SourceSpec::pulse(double v0, double v1, double delay, double t_rise,
   return s;
 }
 
-SourceSpec SourceSpec::pwl(std::vector<std::pair<double, double>> points) {
-  for (std::size_t i = 0; i < points.size(); ++i) {
-    require_finite(points[i].first, "pwl time");
-    require_finite(points[i].second, "pwl value");
-    if (i > 0 && points[i].first < points[i - 1].first) {
-      throw std::invalid_argument("SourceSpec::pwl: points must be time-sorted");
-    }
-  }
-  SourceSpec s;
-  s.kind_ = Kind::kPwl;
-  s.points_ = std::move(points);
-  return s;
-}
-
 double SourceSpec::value(double t) const {
   switch (kind_) {
     case Kind::kDc:
@@ -83,19 +68,6 @@ double SourceSpec::value(double t) const {
         return v1_ + (v0_ - v1_) * (local - t_rise_ - width_) / t_fall_;
       }
       return v0_;
-    }
-    case Kind::kPwl: {
-      if (points_.empty()) return 0.0;
-      if (t <= points_.front().first) return points_.front().second;
-      if (t >= points_.back().first) return points_.back().second;
-      auto it = std::upper_bound(
-          points_.begin(), points_.end(), t,
-          [](double time, const std::pair<double, double>& p) {
-            return time < p.first;
-          });
-      const auto& hi = *it;
-      const auto& lo = *(it - 1);
-      return util::lerp(lo.first, lo.second, hi.first, hi.second, t);
     }
   }
   return 0.0;
@@ -120,12 +92,6 @@ std::vector<double> SourceSpec::breakpoints(double t_stop) const {
       }
       break;
     }
-    case Kind::kPwl:
-      for (const auto& [t, v] : points_) {
-        (void)v;
-        if (t > 0.0 && t < t_stop) out.push_back(t);
-      }
-      break;
   }
   std::sort(out.begin(), out.end());
   return out;

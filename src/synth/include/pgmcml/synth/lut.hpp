@@ -12,11 +12,6 @@
 
 namespace pgmcml::synth {
 
-/// Synthesizes a single-output boolean function given as a truth table over
-/// `inputs` (table.size() == 1 << inputs.size(), index bit i = inputs[i]).
-Lit synthesize_truth_table(Module& m, const std::vector<Lit>& inputs,
-                           const std::vector<bool>& table);
-
 /// Synthesizes an n-input, 8-bit-output lookup table (LSB-first outputs).
 /// `table.size()` must be 1 << inputs.size().
 std::vector<Lit> synthesize_lut8(Module& m, const std::vector<Lit>& inputs,

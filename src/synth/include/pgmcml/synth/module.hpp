@@ -29,9 +29,7 @@ enum class NodeOp : std::uint8_t {
   kAnd,   ///< a & b
   kXor,   ///< a ^ b (operand literals stored uncomplemented)
   kMux,   ///< a ? c : b   (a = select, b = when-0, c = when-1)
-  kMaj,   ///< majority(a, b, c)
-  kDff,   ///< q: a = d, clk implicit (single global clock domain),
-          ///< b = optional reset literal, c = optional enable literal
+  kDff,   ///< q: a = d, clk implicit (single global clock domain)
 };
 
 struct Node {
@@ -39,8 +37,6 @@ struct Node {
   Lit a = kLitFalse;
   Lit b = kLitFalse;
   Lit c = kLitFalse;
-  bool has_reset = false;
-  bool has_enable = false;
   std::string name;  ///< inputs only
 };
 
@@ -62,13 +58,9 @@ class Module {
   Lit lnor(Lit a, Lit b) { return lit_not(lor(a, b)); }
   /// sel ? when1 : when0.
   Lit lmux(Lit sel, Lit when0, Lit when1);
-  Lit lmaj(Lit a, Lit b, Lit c);
 
-  /// Rising-edge flop in the single global clock domain; optional
-  /// synchronous reset and enable.
+  /// Rising-edge flop in the single global clock domain.
   Lit dff(Lit d);
-  Lit dff_reset(Lit d, Lit reset);
-  Lit dff_enable(Lit d, Lit enable);
 
   void output(const std::string& name, Lit l);
   /// Bus convenience, LSB first.
@@ -104,6 +96,5 @@ class Module {
 // --- bit-vector helpers (LSB-first buses) ----------------------------------
 std::vector<Lit> bus_xor(Module& m, const std::vector<Lit>& a,
                          const std::vector<Lit>& b);
-std::vector<Lit> bus_const(Module& m, std::uint64_t value, int width);
 
 }  // namespace pgmcml::synth

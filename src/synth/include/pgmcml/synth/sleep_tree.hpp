@@ -62,8 +62,4 @@ SleepTreeResult insert_sleep_tree(const netlist::Design& design,
                                   const cells::CellLibrary& library,
                                   const SleepTreeOptions& options = {});
 
-/// Wake-up latency of the gated block: insertion delay of the tree plus the
-/// cell-level wake time (sleep transistor turning the tail back on).
-double block_wakeup_time(const SleepTreeResult& tree, double cell_wake_time);
-
 }  // namespace pgmcml::synth

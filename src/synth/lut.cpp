@@ -86,12 +86,6 @@ class LutSynthesizer {
 
 }  // namespace
 
-Lit synthesize_truth_table(Module& m, const std::vector<Lit>& inputs,
-                           const std::vector<bool>& table) {
-  LutSynthesizer s(m, inputs);
-  return s.build(table);
-}
-
 std::vector<Lit> synthesize_lut8(Module& m, const std::vector<Lit>& inputs,
                                  const std::vector<std::uint8_t>& table) {
   if (table.size() != (1u << inputs.size())) {

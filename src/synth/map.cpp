@@ -88,15 +88,12 @@ class Mapper {
           use(n.b, id, 1);
           break;
         case NodeOp::kMux:
-        case NodeOp::kMaj:
           use(n.a, id, 0);
           use(n.b, id, 1);
           use(n.c, id, 2);
           break;
         case NodeOp::kDff:
           use(n.a, id, 0);
-          if (n.has_reset) use(n.b, id, 1);
-          if (n.has_enable) use(n.c, id, 2);
           break;
         default:
           break;
@@ -173,11 +170,11 @@ class Mapper {
   }
 
   void emit(std::uint32_t id, CellKind kind, const std::vector<Lit>& ins,
-            bool out_inverted = false, Lit ctrl = kLitFalse,
-            bool has_ctrl = false) {
+            bool out_inverted = false) {
     Design& d = result_.design;
     Instance inst;
-    inst.name = "U" + std::to_string(id);
+    const std::string index = std::to_string(id);
+    inst.name = "U" + index;
     inst.kind = kind;
     inst.input_inverted.assign(ins.size(), false);
     for (std::size_t k = 0; k < ins.size(); ++k) {
@@ -186,11 +183,6 @@ class Mapper {
       inst.input_inverted[k] = inv;
     }
     if (mcml::cell_info(kind).sequential) inst.clk = clock_net_;
-    if (has_ctrl) {
-      auto [net, inv] = resolve(ctrl);
-      if (inv) net = inverter(net);
-      inst.ctrl = net;
-    }
     const NetId out = d.add_net("w");
     inst.outputs = {out};
     inst.inverted_output = out_inverted;
@@ -274,17 +266,8 @@ class Mapper {
         }
         break;
       }
-      case NodeOp::kMaj:
-        emit(id, CellKind::kMaj3, {n.a, n.b, n.c});
-        break;
       case NodeOp::kDff:
-        if (n.has_reset) {
-          emit(id, CellKind::kDffR, {n.a}, false, n.b, true);
-        } else if (n.has_enable) {
-          emit(id, CellKind::kEDff, {n.a}, false, n.c, true);
-        } else {
-          emit(id, CellKind::kDff, {n.a});
-        }
+        emit(id, CellKind::kDff, {n.a});
         break;
       case NodeOp::kConst:
       case NodeOp::kInput:

@@ -81,30 +81,7 @@ Lit Module::lmux(Lit sel, Lit when0, Lit when1) {
   return add_node(NodeOp::kMux, sel, when0, when1);
 }
 
-Lit Module::lmaj(Lit a, Lit b, Lit c) {
-  // Normalize operand order.
-  Lit v[3] = {a, b, c};
-  std::sort(v, v + 3);
-  if (v[0] == v[1]) { ++folded_; return v[0]; }
-  if (v[1] == v[2]) { ++folded_; return v[1]; }
-  if (v[0] == lit_not(v[1])) { ++folded_; return v[2]; }
-  if (v[1] == lit_not(v[2])) { ++folded_; return v[0]; }
-  return add_node(NodeOp::kMaj, v[0], v[1], v[2]);
-}
-
 Lit Module::dff(Lit d) { return add_node(NodeOp::kDff, d, kLitFalse, kLitFalse); }
-
-Lit Module::dff_reset(Lit d, Lit reset) {
-  const Lit q = add_node(NodeOp::kDff, d, reset, kLitFalse);
-  nodes_[lit_node(q)].has_reset = true;
-  return q;
-}
-
-Lit Module::dff_enable(Lit d, Lit enable) {
-  const Lit q = add_node(NodeOp::kDff, d, kLitFalse, enable);
-  nodes_[lit_node(q)].has_enable = true;
-  return q;
-}
 
 void Module::output(const std::string& name, Lit l) {
   outputs_.emplace_back(name, l);
@@ -154,11 +131,6 @@ std::vector<bool> Module::evaluate(const std::vector<bool>& input_values,
       case NodeOp::kMux:
         node_val[id] = lv(n.a) ? lv(n.c) : lv(n.b);
         break;
-      case NodeOp::kMaj: {
-        const int s = int(lv(n.a)) + int(lv(n.b)) + int(lv(n.c));
-        node_val[id] = s >= 2;
-        break;
-      }
       case NodeOp::kDff:
         node_val[id] = (*state)[id];
         break;
@@ -167,11 +139,7 @@ std::vector<bool> Module::evaluate(const std::vector<bool>& input_values,
   if (tick_clock) {
     for (std::uint32_t id = 0; id < nodes_.size(); ++id) {
       const Node& n = nodes_[id];
-      if (n.op != NodeOp::kDff) continue;
-      bool next = lv(n.a);
-      if (n.has_reset && lv(n.b)) next = false;
-      if (n.has_enable && !lv(n.c)) next = (*state)[id];
-      (*state)[id] = next;
+      if (n.op == NodeOp::kDff) (*state)[id] = lv(n.a);
     }
   }
 
@@ -191,15 +159,6 @@ std::vector<Lit> bus_xor(Module& m, const std::vector<Lit>& a,
   }
   std::vector<Lit> out(a.size());
   for (std::size_t i = 0; i < a.size(); ++i) out[i] = m.lxor(a[i], b[i]);
-  return out;
-}
-
-std::vector<Lit> bus_const(Module& m, std::uint64_t value, int width) {
-  (void)m;
-  std::vector<Lit> out(width);
-  for (int i = 0; i < width; ++i) {
-    out[i] = (value >> i) & 1 ? kLitTrue : kLitFalse;
-  }
   return out;
 }
 

@@ -19,7 +19,6 @@ namespace pgmcml::util {
 class Matrix {
  public:
   Matrix() = default;
-  Matrix(std::size_t rows, std::size_t cols);
 
   std::size_t rows() const { return rows_; }
   std::size_t cols() const { return cols_; }
@@ -58,15 +57,10 @@ class LuSolver {
   /// Outcome of the last factorize() call.
   LuStatus status() const { return status_; }
 
-  /// Solves LUx = b for x; `factorize` must have succeeded first.
-  std::vector<double> solve(std::span<const double> b) const;
-
-  /// Allocation-free variant: solves into `x`, reusing its capacity.  The
-  /// Newton hot loop calls this once per iteration with a persistent buffer.
+  /// Solves LUx = b into `x`, reusing its capacity; `factorize` must have
+  /// succeeded first.  The Newton hot loop calls this once per iteration
+  /// with a persistent buffer.
   void solve_into(std::span<const double> b, std::vector<double>& x) const;
-
-  /// One-shot convenience: solve a x = b.  Returns empty vector on failure.
-  static std::vector<double> solve(const Matrix& a, std::span<const double> b);
 
   std::size_t dimension() const { return lu_.rows(); }
 

@@ -27,9 +27,6 @@ class Table {
 
   /// Renders as a GitHub-style markdown table with a title line.
   std::string to_markdown() const;
-  /// Renders as CSV (RFC-4180-ish quoting).
-  std::string to_csv() const;
-
   /// Prints the markdown rendering to stdout.
   void print() const;
 

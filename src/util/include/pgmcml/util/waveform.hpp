@@ -55,9 +55,6 @@ class Waveform {
   std::optional<double> crossing(double level, int direction = 0,
                                  double t_from = -1e300) const;
 
-  /// All crossings of `level` in the given direction.
-  std::vector<double> crossings(double level, int direction = 0) const;
-
   /// Resamples onto a uniform grid of `n` samples covering [t0, t1].
   std::vector<double> sample_uniform(double t0, double t1, std::size_t n) const;
 
@@ -91,9 +88,6 @@ class GridAccumulator {
   double t0() const { return t0_; }
   double dt() const { return dt_; }
   std::size_t size() const { return values_.size(); }
-
-  /// Adds `value` to the sample nearest `t` (ignored when out of range).
-  void deposit(double t, double value);
 
   /// Adds a piecewise-linear kernel starting at time `t_start`.
   void add_kernel(double t_start, const Waveform& kernel, double scale = 1.0);

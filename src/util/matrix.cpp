@@ -5,9 +5,6 @@
 
 namespace pgmcml::util {
 
-Matrix::Matrix(std::size_t rows, std::size_t cols)
-    : rows_(rows), cols_(cols), data_(rows * cols, 0.0) {}
-
 void Matrix::fill(double value) {
   for (double& x : data_) x = value;
 }
@@ -85,12 +82,6 @@ bool LuSolver::factorize(const Matrix& a) {
   return true;
 }
 
-std::vector<double> LuSolver::solve(std::span<const double> b) const {
-  std::vector<double> x;
-  solve_into(b, x);
-  return x;
-}
-
 void LuSolver::solve_into(std::span<const double> b,
                           std::vector<double>& x) const {
   const std::size_t n = lu_.rows();
@@ -116,12 +107,6 @@ void LuSolver::solve_into(std::span<const double> b,
     }
     x[k] /= lu_.at(k, k);
   }
-}
-
-std::vector<double> LuSolver::solve(const Matrix& a, std::span<const double> b) {
-  LuSolver solver;
-  if (!solver.factorize(a)) return {};
-  return solver.solve(b);
 }
 
 }  // namespace pgmcml::util

@@ -96,30 +96,6 @@ std::string Table::to_markdown() const {
   return os.str();
 }
 
-std::string Table::to_csv() const {
-  auto quote = [](const std::string& s) {
-    if (s.find_first_of(",\"\n") == std::string::npos) return s;
-    std::string out = "\"";
-    for (char c : s) {
-      if (c == '"') out += '"';
-      out += c;
-    }
-    out += '"';
-    return out;
-  };
-  std::ostringstream os;
-  auto emit = [&](const std::vector<std::string>& cells) {
-    for (std::size_t i = 0; i < cells.size(); ++i) {
-      if (i) os << ",";
-      os << quote(cells[i]);
-    }
-    os << "\n";
-  };
-  if (!header_.empty()) emit(header_);
-  for (const auto& r : rows_) emit(r);
-  return os.str();
-}
-
 void Table::print() const { std::cout << to_markdown() << std::flush; }
 
 }  // namespace pgmcml::util

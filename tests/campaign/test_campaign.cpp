@@ -21,6 +21,7 @@
 #include "pgmcml/campaign/checkpoint.hpp"
 #include "pgmcml/obs/obs.hpp"
 #include "pgmcml/sca/snapshot.hpp"
+#include "support/one_trace.hpp"
 
 namespace pgmcml::campaign {
 namespace {
@@ -105,7 +106,7 @@ TEST(CampaignCheckpoint, RoundTripsBitwise) {
   state.checkpoints_written = 5;
   const std::vector<double> trace(16, 0.25);
   state.attacks.cpa.add(0x11, trace);
-  state.attacks.dpa.add(0x11, trace);
+  add_one(state.attacks.dpa, 0x11, trace);
   state.attacks.tvla.add(true, trace);
   state.diagnostics.record_attempt();
   state.diagnostics.record_retry("trace:73", "synthetic");
@@ -196,9 +197,9 @@ TEST(CampaignCheckpoint, StaticAndMlpaAccumulatorsRoundTripBitwise) {
   state.range_hi = 24;
   state.next_index = 8;
   const std::vector<double> trace(16, 0.5);
-  state.attacks.static_awake->add(0x3c, trace);
-  state.attacks.static_asleep->add(0x3c, trace);
-  state.attacks.mlpa->add(0x3c, trace);
+  add_one(*state.attacks.static_awake, 0x3c, trace);
+  add_one(*state.attacks.static_asleep, 0x3c, trace);
+  add_one(*state.attacks.mlpa, 0x3c, trace);
 
   ASSERT_TRUE(save_checkpoint(path, state, /*config_digest=*/0xabcd));
   auto loaded = load_checkpoint(path, model, 16, 0xabcd,

@@ -160,9 +160,9 @@ TEST(TechnologyConfig, CheckedInDefaultConfigEqualsBuiltinBitwise) {
   // THE acceptance property: the file under examples/configs/ reconstructs
   // the compiled-in technology exactly, so the config path is a pure
   // re-plumbing, not a new model.
-  const spice::Technology from_file = technology_from_json(
+  const spice::Technology from_file(technology_params_from_json(
       load_json_file(kConfigsDir + "/technology-cmos90.json"),
-      "technology-cmos90.json");
+      "technology-cmos90.json"));
   const spice::Technology builtin{spice::Corner::kTypical};
   EXPECT_EQ(from_file.vdd(), builtin.vdd());
   EXPECT_EQ(from_file.lmin(), builtin.lmin());
@@ -192,9 +192,9 @@ TEST(TechnologyConfig, DefaultConfigCharacterizesBitwiseIdentically) {
   // End to end through the SPICE engine: a cell characterized at the
   // config-built technology is bitwise equal to the compiled-in path.
   mcml::McmlDesign from_config;
-  from_config.tech = technology_from_json(
+  from_config.tech = spice::Technology(technology_params_from_json(
       load_json_file(kConfigsDir + "/technology-cmos90.json"),
-      "technology-cmos90.json");
+      "technology-cmos90.json"));
   const mcml::McmlDesign builtin;  // compiled-in typical corner
   const mcml::CellCharacterization a =
       mcml::characterize_cell(mcml::CellKind::kXor2, from_config);
@@ -214,11 +214,11 @@ TEST(TechnologyConfig, CacheKeysSeparateNodesButNotTheDefaultConfig) {
   // compiled-in corner; the FinFET node keys differently.
   mcml::McmlDesign builtin;
   mcml::McmlDesign from_default;
-  from_default.tech = technology_from_json(
-      load_json_file(kConfigsDir + "/technology-cmos90.json"), "default");
+  from_default.tech = spice::Technology(technology_params_from_json(
+      load_json_file(kConfigsDir + "/technology-cmos90.json"), "default"));
   mcml::McmlDesign finfet;
-  finfet.tech = technology_from_json(
-      load_json_file(kConfigsDir + "/technology-finfet7.json"), "finfet");
+  finfet.tech = spice::Technology(technology_params_from_json(
+      load_json_file(kConfigsDir + "/technology-finfet7.json"), "finfet"));
 
   const auto key_of = [](const mcml::McmlDesign& d) {
     cache::KeyBuilder kb("test.config.design");
@@ -294,19 +294,6 @@ TEST(CellVariantConfig, StyleAndGatingMustAgree) {
                     "style": "mcml", "gating": "series_sleep"})"),
           "x.json"),
       ConfigError);
-}
-
-TEST(CellVariantConfig, RoundTripsThroughToJson) {
-  const CellVariant v = cell_variant_from_json(
-      load_json_file(kConfigsDir + "/cell-finfet-pgmcml.json"), "f.json");
-  const CellVariant again =
-      cell_variant_from_json(parse(cell_variant_to_json(v).dump()), "rt");
-  EXPECT_EQ(again.name, v.name);
-  EXPECT_EQ(again.style, v.style);
-  EXPECT_EQ(again.design.iss, v.design.iss);
-  EXPECT_EQ(again.design.vsw, v.design.vsw);
-  EXPECT_EQ(again.design.w_pair, v.design.w_pair);
-  EXPECT_EQ(again.design.gating, v.design.gating);
 }
 
 // ---------------------------------------------------------------------------
@@ -425,6 +412,24 @@ TEST(PlanConfig, StaticPowerRequiresStaticAcquisition) {
                              "task": "campaign", "acquisition": "static"})"),
                    "x.json"),
                ConfigError);
+}
+
+TEST(PlanConfig, DpaFlowNeverKeepsTraces) {
+  // The experiment report reads only the attack statistics, so a config
+  // run never copies its traces; the retired "keep_traces" key is an
+  // unknown key with a path-qualified error.
+  const Plan dpa = plan_from_json(
+      parse(R"({"pgmcml_schema": 1, "kind": "plan", "name": "d",
+                "task": "dpa_flow"})"),
+      "d.json");
+  EXPECT_FALSE(dpa.dpa_flow.keep_traces);
+  const std::string what = error_of([&] {
+    plan_from_json(
+        parse(R"({"pgmcml_schema": 1, "kind": "plan", "name": "d",
+                  "task": "dpa_flow", "keep_traces": false})"),
+        "d.json");
+  });
+  EXPECT_NE(what.find("d.json/keep_traces"), std::string::npos) << what;
 }
 
 TEST(PlanConfig, RejectsBadPlans) {

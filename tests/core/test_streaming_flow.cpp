@@ -11,6 +11,7 @@
 #include "pgmcml/core/dpa_flow.hpp"
 #include "pgmcml/sca/accumulator.hpp"
 #include "pgmcml/util/parallel.hpp"
+#include "support/one_trace.hpp"
 
 namespace pgmcml::core {
 namespace {
@@ -265,7 +266,7 @@ TEST(StreamingFlow, MlpaRidesTheDynamicFlow) {
   // The flow's streamed MLPA equals a batch accumulation of the kept traces.
   sca::MlpaAccumulator acc(opt.samples);
   for (std::size_t i = 0; i < r.traces.num_traces(); ++i) {
-    acc.add(r.traces.plaintext(i), r.traces.trace(i));
+    sca::add_one(acc, r.traces.plaintext(i), r.traces.trace(i));
   }
   const sca::MlpaResult batch = acc.snapshot();
   for (int k = 0; k < 256; ++k) {

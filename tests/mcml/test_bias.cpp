@@ -22,9 +22,10 @@ TEST(Bias, SolvesDefaultDesignPoint) {
 
 TEST(Bias, TailCurrentMonotoneInVn) {
   McmlDesign d;
-  const double i1 = replica_tail_current(d, 0.45);
-  const double i2 = replica_tail_current(d, 0.55);
-  const double i3 = replica_tail_current(d, 0.65);
+  spice::NewtonWorkspace ws;
+  const double i1 = replica_tail_current(d, 0.45, 0.3, ws);
+  const double i2 = replica_tail_current(d, 0.55, 0.3, ws);
+  const double i3 = replica_tail_current(d, 0.65, 0.3, ws);
   EXPECT_LT(i1, i2);
   EXPECT_LT(i2, i3);
   EXPECT_GT(i1, 0.0);
@@ -87,13 +88,16 @@ TEST(Bias, BufferSwingTracksTailCurrent) {
   BiasResult bh;
   // Only re-solve Vn; keep the same vp.
   // Use the replica directly: find the half-current Vn by bisection.
+  spice::NewtonWorkspace tail_ws, swing_ws;
   double lo = 0.2, hi = 1.2;
   for (int i = 0; i < 50; ++i) {
     const double mid = 0.5 * (lo + hi);
-    (replica_tail_current(half, mid) < half.iss ? lo : hi) = mid;
+    (replica_tail_current(half, mid, 0.3, tail_ws) < half.iss ? lo : hi) =
+        mid;
   }
   const double vn_half = 0.5 * (lo + hi);
-  const double swing_half = replica_buffer_swing(half, vn_half, d.vp);
+  const double swing_half =
+      replica_buffer_swing(half, vn_half, d.vp, swing_ws);
   EXPECT_GT(swing_half, 0.25 * d.vsw);
   EXPECT_LT(swing_half, 0.75 * d.vsw);
   (void)bh;

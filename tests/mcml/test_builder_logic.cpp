@@ -64,7 +64,8 @@ std::vector<double> dc_outputs(CellKind kind, const std::vector<int>& inputs,
   if (info.num_controls > 0) ctrl_net = diff_const("ctl", ctrl);
 
   const CellPorts ports = b.emit_cell(kind, data, clk_net, ctrl_net);
-  const spice::DcResult dc = dc_operating_point(c);
+  spice::NewtonWorkspace ws;
+  const spice::DcResult dc = dc_operating_point(c, {}, ws);
   EXPECT_TRUE(dc.converged) << to_string(kind);
   std::vector<double> outs;
   for (const DiffNet& o : ports.outputs) {

@@ -4,6 +4,7 @@
 
 #include "pgmcml/mcml/bias.hpp"
 #include "pgmcml/util/units.hpp"
+#include "support/state_leakage.hpp"
 
 namespace pgmcml::mcml {
 namespace {

@@ -3,6 +3,7 @@
 #include "pgmcml/core/aes_core.hpp"
 #include "pgmcml/core/sbox_unit.hpp"
 #include "pgmcml/netlist/design.hpp"
+#include "support/lint.hpp"
 
 namespace pgmcml::netlist {
 namespace {
@@ -16,7 +17,7 @@ TEST(Lint, CleanDesignHasNoIssues) {
   d.mark_input(a, "a");
   d.add_instance({"u", CellKind::kBuf, {a}, kNoNet, kNoNet, {o}});
   d.mark_output(o, "o");
-  EXPECT_TRUE(d.lint().empty());
+  EXPECT_TRUE(lint(d).empty());
 }
 
 TEST(Lint, UndrivenInputFlagged) {
@@ -25,9 +26,9 @@ TEST(Lint, UndrivenInputFlagged) {
   const NetId o = d.add_net("o");
   d.add_instance({"u", CellKind::kBuf, {a}, kNoNet, kNoNet, {o}});
   d.mark_output(o, "o");
-  const auto issues = d.lint();
+  const auto issues = lint(d);
   ASSERT_EQ(issues.size(), 1u);
-  EXPECT_EQ(issues[0].kind, Design::LintIssue::Kind::kUndrivenInput);
+  EXPECT_EQ(issues[0].kind, LintIssue::Kind::kUndrivenInput);
   EXPECT_EQ(issues[0].net, a);
   EXPECT_EQ(issues[0].instance, 0);
 }
@@ -38,9 +39,9 @@ TEST(Lint, DanglingNetFlagged) {
   const NetId o = d.add_net("o");  // driven but nobody reads it
   d.mark_input(a, "a");
   d.add_instance({"u", CellKind::kBuf, {a}, kNoNet, kNoNet, {o}});
-  const auto issues = d.lint();
+  const auto issues = lint(d);
   ASSERT_EQ(issues.size(), 1u);
-  EXPECT_EQ(issues[0].kind, Design::LintIssue::Kind::kDanglingNet);
+  EXPECT_EQ(issues[0].kind, LintIssue::Kind::kDanglingNet);
   EXPECT_EQ(issues[0].net, o);
 }
 
@@ -48,9 +49,9 @@ TEST(Lint, UndrivenOutputFlagged) {
   Design d("noout");
   const NetId o = d.add_net("o");
   d.mark_output(o, "o");
-  const auto issues = d.lint();
+  const auto issues = lint(d);
   ASSERT_EQ(issues.size(), 1u);
-  EXPECT_EQ(issues[0].kind, Design::LintIssue::Kind::kUndrivenOutput);
+  EXPECT_EQ(issues[0].kind, LintIssue::Kind::kUndrivenOutput);
 }
 
 TEST(Lint, SynthesizedDesignsAreClean) {
@@ -58,11 +59,11 @@ TEST(Lint, SynthesizedDesignsAreClean) {
   for (const cells::CellLibrary& lib :
        {cells::CellLibrary::cmos90(), cells::CellLibrary::mcml90(),
         cells::CellLibrary::pgmcml90()}) {
-    EXPECT_TRUE(core::map_reduced_aes(lib).design.lint().empty()) << lib.name();
-    EXPECT_TRUE(core::map_sbox_ise(lib).design.lint().empty()) << lib.name();
+    EXPECT_TRUE(lint(core::map_reduced_aes(lib).design).empty()) << lib.name();
+    EXPECT_TRUE(lint(core::map_sbox_ise(lib).design).empty()) << lib.name();
   }
   EXPECT_TRUE(
-      core::map_aes_core(cells::CellLibrary::pgmcml90()).design.lint().empty());
+      lint(core::map_aes_core(cells::CellLibrary::pgmcml90()).design).empty());
 }
 
 }  // namespace

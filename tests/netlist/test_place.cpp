@@ -17,8 +17,8 @@ Design chain(int n) {
   d.mark_input(prev, "in");
   for (int i = 0; i < n; ++i) {
     const NetId next = d.add_net("w");
-    d.add_instance({"u" + std::to_string(i), CellKind::kBuf, {prev}, kNoNet,
-                    kNoNet, {next}});
+    const std::string k = std::to_string(i);
+    d.add_instance({"u" + k, CellKind::kBuf, {prev}, kNoNet, kNoNet, {next}});
     prev = next;
   }
   d.mark_output(prev, "out");

@@ -37,16 +37,6 @@ TEST(ObsCounter, DefaultHandleIsInert) {
   EXPECT_EQ(c.value(), 0u);
 }
 
-TEST(ObsCounter, ResetZeroesButHandlesStayValid) {
-  Registry reg;
-  obs::Counter c = reg.counter("x");
-  c.add(7);
-  reg.reset();
-  EXPECT_EQ(c.value(), 0u);
-  c.add(3);
-  EXPECT_EQ(reg.snapshot().counter("x"), 3u);
-}
-
 TEST(ObsHistogram, BucketPlacement) {
   // Bucket b covers [2^(b-31), 2^(b-30)): 1.0 = 2^0 lands in bucket 31.
   EXPECT_EQ(obs::histogram_bucket(1.0), 31u);
@@ -171,21 +161,17 @@ TEST(ObsParallel, SnapshotIsThreadCountInvariant) {
 
 TEST(ObsTimer, SpansNestHierarchically) {
   Registry reg;
-  EXPECT_EQ(obs::ScopedTimer::current_path(), "");
   {
     obs::ScopedTimer outer("outer", reg);
-    EXPECT_EQ(obs::ScopedTimer::current_path(), "outer");
-    {
-      obs::ScopedTimer inner("inner", reg);
-      EXPECT_EQ(obs::ScopedTimer::current_path(), "outer/inner");
-    }
-    EXPECT_EQ(obs::ScopedTimer::current_path(), "outer");
+    { obs::ScopedTimer inner("inner", reg); }
   }
-  EXPECT_EQ(obs::ScopedTimer::current_path(), "");
+  // The outer span closed too: a new span is a root again.
+  { obs::ScopedTimer after("after", reg); }
 
   const Snapshot s = reg.snapshot();
   EXPECT_EQ(s.histograms.at("time/outer").count, 1u);
   EXPECT_EQ(s.histograms.at("time/outer/inner").count, 1u);
+  EXPECT_EQ(s.histograms.at("time/after").count, 1u);
   EXPECT_GE(s.histograms.at("time/outer").sum,
             s.histograms.at("time/outer/inner").sum);
 }
@@ -200,7 +186,7 @@ TEST(ObsJson, SnapshotRoundTrips) {
 
   const Snapshot before = reg.snapshot();
   const obs::json::Value doc =
-      obs::json::Value::parse(before.to_json_string());
+      obs::json::Value::parse(before.to_json().dump());
   const Snapshot after = Snapshot::from_json(doc);
   EXPECT_EQ(before.counters, after.counters);
   EXPECT_EQ(before.histograms, after.histograms);

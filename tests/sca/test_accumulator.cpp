@@ -13,6 +13,7 @@
 #include "pgmcml/sca/traces.hpp"
 #include "pgmcml/util/rng.hpp"
 #include "pgmcml/util/stats.hpp"
+#include "support/one_trace.hpp"
 
 namespace pgmcml::sca {
 namespace {
@@ -201,12 +202,16 @@ TEST(DpaAccumulator, MergeMatchesStreamingAndBatchingIsBitwise) {
   const TraceSet ts = synthetic_traces(0x77, 200, 1.0, 0.8);
   DpaAccumulator whole(ts.samples_per_trace());
   for (std::size_t i = 0; i < ts.num_traces(); ++i) {
-    whole.add(ts.plaintext(i), ts.trace(i));
+    add_one(whole, ts.plaintext(i), ts.trace(i));
   }
   DpaAccumulator lo(ts.samples_per_trace());
   DpaAccumulator hi(ts.samples_per_trace());
-  for (std::size_t i = 0; i < 100; ++i) lo.add(ts.plaintext(i), ts.trace(i));
-  for (std::size_t i = 100; i < 200; ++i) hi.add(ts.plaintext(i), ts.trace(i));
+  for (std::size_t i = 0; i < 100; ++i) {
+    add_one(lo, ts.plaintext(i), ts.trace(i));
+  }
+  for (std::size_t i = 100; i < 200; ++i) {
+    add_one(hi, ts.plaintext(i), ts.trace(i));
+  }
   lo.merge(hi);
   const DpaResult a = whole.snapshot();
   const DpaResult b = lo.snapshot();

@@ -159,7 +159,6 @@ TEST(Dpa, RecoversKeyFromBitLeak) {
   while (source.next(batch)) acc.add_batch(batch);
   const DpaResult r = acc.snapshot();
   EXPECT_EQ(r.best_guess, key);
-  EXPECT_EQ(r.key_rank(key), 0);
 }
 
 TEST(Metrics, KeyRankCountsStrictlyBetterGuesses) {

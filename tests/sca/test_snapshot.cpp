@@ -13,6 +13,7 @@
 #include "pgmcml/sca/snapshot.hpp"
 #include "pgmcml/util/rng.hpp"
 #include "pgmcml/util/stats.hpp"
+#include "support/one_trace.hpp"
 
 namespace pgmcml::sca {
 namespace {
@@ -58,7 +59,9 @@ TEST(Snapshot, ScalarsAndSpansRoundTrip) {
   EXPECT_EQ(r.u64(), 0x0123456789abcdefull);
   const double neg_zero = r.f64();
   EXPECT_EQ(std::memcmp(&neg_zero, "\0\0\0\0\0\0\0\x80", 8), 0);
-  EXPECT_EQ(r.f64_vector(), v);
+  std::vector<double> back;
+  r.f64_into(back, v.size());
+  EXPECT_EQ(back, v);
   EXPECT_EQ(r.bytes(), "payload");
   EXPECT_TRUE(r.exhausted());
 }
@@ -76,11 +79,12 @@ TEST(Snapshot, ReaderRejectsTruncationAndBadTags) {
   truncated.expect_tag("TST1");
   EXPECT_THROW(truncated.u64(), std::runtime_error);
 
-  // A corrupt vector length must not trigger a huge allocation.
+  // A corrupt vector length is rejected before any allocation.
   SnapshotWriter wl;
   wl.u64(UINT64_MAX);
   SnapshotReader huge(wl.buffer());
-  EXPECT_THROW(huge.f64_vector(), std::runtime_error);
+  std::vector<double> out;
+  EXPECT_THROW(huge.f64_into(out, 4), std::runtime_error);
 }
 
 TEST(Snapshot, CpaResumesBitwise) {
@@ -114,7 +118,7 @@ TEST(Snapshot, DpaAndTvlaResumeBitwise) {
   DpaAccumulator dpa(ts.samples_per_trace());
   TvlaAccumulator tvla(ts.samples_per_trace());
   for (std::size_t i = 0; i < 50; ++i) {
-    dpa.add(ts.plaintext(i), ts.trace(i));
+    add_one(dpa, ts.plaintext(i), ts.trace(i));
     tvla.add(i % 2 == 0, ts.trace(i));
   }
   SnapshotWriter w;
@@ -125,8 +129,8 @@ TEST(Snapshot, DpaAndTvlaResumeBitwise) {
   TvlaAccumulator tvla2 = TvlaAccumulator::load(r);
   EXPECT_TRUE(r.exhausted());
   for (std::size_t i = 50; i < ts.num_traces(); ++i) {
-    dpa.add(ts.plaintext(i), ts.trace(i));
-    dpa2.add(ts.plaintext(i), ts.trace(i));
+    add_one(dpa, ts.plaintext(i), ts.trace(i));
+    add_one(dpa2, ts.plaintext(i), ts.trace(i));
     tvla.add(i % 2 == 0, ts.trace(i));
     tvla2.add(i % 2 == 0, ts.trace(i));
   }
@@ -200,7 +204,9 @@ TEST(Snapshot, StaticPowerResumesBitwise) {
   const TraceSet ts = synthetic_traces(0x2b, 120);
   StaticPowerAccumulator live(LeakageModel::kHammingWeight,
                               ts.samples_per_trace(), StaticWindow::kAwake);
-  for (std::size_t i = 0; i < 60; ++i) live.add(ts.plaintext(i), ts.trace(i));
+  for (std::size_t i = 0; i < 60; ++i) {
+    add_one(live, ts.plaintext(i), ts.trace(i));
+  }
 
   SnapshotWriter w;
   live.save(w);
@@ -212,8 +218,8 @@ TEST(Snapshot, StaticPowerResumesBitwise) {
   EXPECT_EQ(serialized(resumed), serialized(live));
 
   for (std::size_t i = 60; i < ts.num_traces(); ++i) {
-    live.add(ts.plaintext(i), ts.trace(i));
-    resumed.add(ts.plaintext(i), ts.trace(i));
+    add_one(live, ts.plaintext(i), ts.trace(i));
+    add_one(resumed, ts.plaintext(i), ts.trace(i));
   }
   EXPECT_EQ(serialized(resumed), serialized(live));
   const auto a = live.snapshot();
@@ -227,7 +233,9 @@ TEST(Snapshot, StaticPowerResumesBitwise) {
 TEST(Snapshot, MlpaResumesBitwise) {
   const TraceSet ts = synthetic_traces(0x2b, 100);
   MlpaAccumulator live(ts.samples_per_trace());
-  for (std::size_t i = 0; i < 50; ++i) live.add(ts.plaintext(i), ts.trace(i));
+  for (std::size_t i = 0; i < 50; ++i) {
+    add_one(live, ts.plaintext(i), ts.trace(i));
+  }
 
   SnapshotWriter w;
   live.save(w);
@@ -237,8 +245,8 @@ TEST(Snapshot, MlpaResumesBitwise) {
   EXPECT_EQ(serialized(resumed), serialized(live));
 
   for (std::size_t i = 50; i < ts.num_traces(); ++i) {
-    live.add(ts.plaintext(i), ts.trace(i));
-    resumed.add(ts.plaintext(i), ts.trace(i));
+    add_one(live, ts.plaintext(i), ts.trace(i));
+    add_one(resumed, ts.plaintext(i), ts.trace(i));
   }
   EXPECT_EQ(serialized(resumed), serialized(live));
   const auto sa = live.snapshot().score;
@@ -289,7 +297,7 @@ TEST(Snapshot, StaticAndMlpaMtdTrackersResumeToSameDisclosure) {
 TEST(Snapshot, LoadRejectsCorruptStaticAndMlpaStreams) {
   StaticPowerAccumulator sp(LeakageModel::kHammingWeight, 8,
                             StaticWindow::kAsleep);
-  sp.add(0x10, std::vector<double>(8, 1.0));
+  add_one(sp, 0x10, std::vector<double>(8, 1.0));
   SnapshotWriter ws;
   sp.save(ws);
   const std::string sp_bytes = ws.take();
@@ -300,7 +308,7 @@ TEST(Snapshot, LoadRejectsCorruptStaticAndMlpaStreams) {
   EXPECT_THROW(StaticPowerAccumulator::load(short_r), std::runtime_error);
 
   MlpaAccumulator ml(8);
-  ml.add(0x10, std::vector<double>(8, 1.0));
+  add_one(ml, 0x10, std::vector<double>(8, 1.0));
   SnapshotWriter wm;
   ml.save(wm);
   const std::string ml_bytes = wm.take();
@@ -348,8 +356,8 @@ TEST(Snapshot, PreviousFormatTagsAreRejected) {
   MlpaAccumulator mlpa(8);
   for (std::size_t i = 0; i < ts.num_traces(); ++i) {
     cpa.add(ts.plaintext(i), ts.trace(i));
-    dpa.add(ts.plaintext(i), ts.trace(i));
-    mlpa.add(ts.plaintext(i), ts.trace(i));
+    add_one(dpa, ts.plaintext(i), ts.trace(i));
+    add_one(mlpa, ts.plaintext(i), ts.trace(i));
   }
   const auto as_old = [](std::string bytes, const char* old_tag) {
     EXPECT_EQ(bytes[3], '2');
@@ -369,8 +377,8 @@ TEST(Snapshot, PreviousFormatTagsAreRejected) {
 
 TEST(Snapshot, LoadRejectsInconsistentBucketCounts) {
   DpaAccumulator dpa(4);
-  dpa.add(0x10, std::vector<double>(4, 1.0));
-  dpa.add(0x20, std::vector<double>(4, 2.0));
+  add_one(dpa, 0x10, std::vector<double>(4, 1.0));
+  add_one(dpa, 0x20, std::vector<double>(4, 2.0));
   std::string bytes = serialized(dpa);
   // Layout: tag, u64 samples, u64 traces, then the 256 u64 bucket counts.
   const std::uint64_t bogus_traces = 3;

@@ -17,6 +17,7 @@
 #include "pgmcml/util/parallel.hpp"
 #include "pgmcml/util/rng.hpp"
 #include "pgmcml/util/stats.hpp"
+#include "support/one_trace.hpp"
 
 namespace pgmcml::sca {
 namespace {
@@ -199,7 +200,7 @@ TEST(StaticPowerAccumulator, BatchingIsBitwiseIrrelevant) {
   StaticPowerAccumulator serial(LeakageModel::kHammingWeight,
                                 ts.samples_per_trace(), StaticWindow::kAwake);
   for (std::size_t i = 0; i < ts.num_traces(); ++i) {
-    serial.add(ts.plaintext(i), ts.trace(i));
+    add_one(serial, ts.plaintext(i), ts.trace(i));
   }
   const auto golden = serialized(serial);
   for (std::size_t batch_size : {1ul, 7ul, 256ul}) {
@@ -217,7 +218,9 @@ TEST(StaticPowerAccumulator, MergeIsAssociativeAndMatchesStreaming) {
   const auto chunk = [&](std::size_t lo, std::size_t hi) {
     StaticPowerAccumulator acc(LeakageModel::kHammingWeight,
                                ts.samples_per_trace(), StaticWindow::kAll);
-    for (std::size_t i = lo; i < hi; ++i) acc.add(ts.plaintext(i), ts.trace(i));
+    for (std::size_t i = lo; i < hi; ++i) {
+      add_one(acc, ts.plaintext(i), ts.trace(i));
+    }
     return acc;
   };
   StaticPowerAccumulator ab = chunk(0, 100);
@@ -255,7 +258,8 @@ TEST(StaticPowerAccumulator, MergeIsAssociativeAndMatchesStreaming) {
 TEST(StaticPowerAccumulator, RejectsRaggedAndMismatchedInputs) {
   StaticPowerAccumulator acc(LeakageModel::kHammingWeight, 10,
                              StaticWindow::kAwake);
-  EXPECT_THROW(acc.add(0, std::vector<double>(9, 0.0)), std::invalid_argument);
+  EXPECT_THROW(add_one(acc, 0, std::vector<double>(9, 0.0)),
+               std::invalid_argument);
   StaticPowerAccumulator other_window(LeakageModel::kHammingWeight, 10,
                                       StaticWindow::kAsleep);
   EXPECT_THROW(acc.merge(other_window), std::invalid_argument);
@@ -263,7 +267,7 @@ TEST(StaticPowerAccumulator, RejectsRaggedAndMismatchedInputs) {
                                  StaticWindow::kAwake);
   EXPECT_THROW(acc.merge(other_m), std::invalid_argument);
   // Sub-minimal populations report no verdict.
-  acc.add(0x12, std::vector<double>(10, 1.0));
+  add_one(acc, 0x12, std::vector<double>(10, 1.0));
   EXPECT_EQ(acc.snapshot().best_guess, -1);
 }
 
@@ -298,7 +302,7 @@ TEST(MlpaAccumulator, BatchingAndWorkerCountAreBitwiseIrrelevant) {
   const TraceSet ts = synthetic_bit_traces(0x44, 257, 1.0, 1.0);
   MlpaAccumulator serial(ts.samples_per_trace());
   for (std::size_t i = 0; i < ts.num_traces(); ++i) {
-    serial.add(ts.plaintext(i), ts.trace(i));
+    add_one(serial, ts.plaintext(i), ts.trace(i));
   }
   const auto golden = serialized(serial);
   // add_batch fans the 256 guesses out over the worker pool; every worker
@@ -316,7 +320,9 @@ TEST(MlpaAccumulator, MergeIsAssociativeAndMatchesStreaming) {
   const TraceSet ts = synthetic_bit_traces(0x27, 300, 1.0, 0.8);
   const auto chunk = [&](std::size_t lo, std::size_t hi) {
     MlpaAccumulator acc(ts.samples_per_trace());
-    for (std::size_t i = lo; i < hi; ++i) acc.add(ts.plaintext(i), ts.trace(i));
+    for (std::size_t i = lo; i < hi; ++i) {
+      add_one(acc, ts.plaintext(i), ts.trace(i));
+    }
     return acc;
   };
   MlpaAccumulator ab = chunk(0, 100);
@@ -344,7 +350,8 @@ TEST(MlpaAccumulator, MergeIsAssociativeAndMatchesStreaming) {
 
   MlpaAccumulator other_m(ts.samples_per_trace() + 1);
   EXPECT_THROW(ab.merge(other_m), std::invalid_argument);
-  EXPECT_THROW(ab.add(0, std::vector<double>(1, 0.0)), std::invalid_argument);
+  EXPECT_THROW(add_one(ab, 0, std::vector<double>(1, 0.0)),
+               std::invalid_argument);
 }
 
 TEST(StaticMtdTracker, MatchesPrefixRerunScan) {
@@ -361,7 +368,7 @@ TEST(StaticMtdTracker, MatchesPrefixRerunScan) {
     StaticPowerAccumulator acc(LeakageModel::kHammingWeight,
                                ts.samples_per_trace(), StaticWindow::kAwake);
     for (std::size_t i = 0; i < grid[gi]; ++i) {
-      acc.add(ts.plaintext(i), ts.trace(i));
+      add_one(acc, ts.plaintext(i), ts.trace(i));
     }
     success[gi] = acc.snapshot().key_rank(key) == 0;
   }

@@ -1,17 +1,11 @@
-// The streaming boundary: TraceSetSource (the zero-copy prefix view) and the
-// binary trace-file writer/reader round trip.
+// The streaming boundary: TraceSetSource, the zero-copy prefix view.
 #include <gtest/gtest.h>
 
-#include <unistd.h>
-
 #include <cstdint>
-#include <cstdio>
-#include <string>
 #include <vector>
 
 #include "pgmcml/sca/accumulator.hpp"
 #include "pgmcml/sca/attack.hpp"
-#include "pgmcml/sca/trace_file.hpp"
 #include "pgmcml/sca/trace_source.hpp"
 #include "pgmcml/util/rng.hpp"
 
@@ -28,10 +22,6 @@ TraceSet make_traces(std::size_t n, std::size_t samples,
     ts.add(static_cast<std::uint8_t>(rng.bounded(256)), tr);
   }
   return ts;
-}
-
-std::string temp_path(const std::string& name) {
-  return ::testing::TempDir() + name;
 }
 
 TEST(TraceSetSource, YieldsAllTracesInOrder) {
@@ -79,158 +69,6 @@ TEST(TraceSetSource, ZeroBatchSizeThrows) {
   const TraceSet ts = make_traces(3, 4);
   EXPECT_THROW(TraceSetSource(ts, TraceSetSource::kNoLimit, 0),
                std::invalid_argument);
-}
-
-TEST(TraceFile, RoundTripIsBitwise) {
-  const TraceSet ts = make_traces(37, 9);
-  const std::string path = temp_path("roundtrip.pgtr");
-
-  TraceSetSource source(ts, TraceSetSource::kNoLimit, 10);
-  EXPECT_EQ(write_trace_file(path, source), 37u);
-
-  const TraceSet back = read_trace_file(path);
-  ASSERT_EQ(back.num_traces(), 37u);
-  ASSERT_EQ(back.samples_per_trace(), 9u);
-  for (std::size_t i = 0; i < 37; ++i) {
-    EXPECT_EQ(back.plaintext(i), ts.plaintext(i));
-    for (std::size_t j = 0; j < 9; ++j) {
-      EXPECT_EQ(back.trace(i)[j], ts.trace(i)[j]);  // bitwise
-    }
-  }
-  std::remove(path.c_str());
-}
-
-TEST(TraceFile, ReaderStreamsAndReplays) {
-  const TraceSet ts = make_traces(64, 12, 23);
-  const std::string path = temp_path("streams.pgtr");
-  TraceSetSource source(ts);
-  write_trace_file(path, source);
-
-  TraceFileReader reader(path, /*batch_size=*/9);
-  EXPECT_EQ(reader.samples_per_trace(), 12u);
-  EXPECT_EQ(reader.size_hint(), 64u);
-
-  // Attacking the file replay equals attacking the in-memory set, bitwise
-  // (same stream, and batching is irrelevant to the accumulator).
-  const CpaResult from_file = cpa_attack(reader);
-  const CpaResult from_memory = cpa_attack(ts);
-  for (int k = 0; k < 256; ++k) {
-    EXPECT_EQ(from_file.peak_correlation[k], from_memory.peak_correlation[k]);
-  }
-
-  // A finished reader stays exhausted; a second reader replays the file.
-  TraceBatch batch;
-  EXPECT_FALSE(reader.next(batch));
-  TraceFileReader replay(path, /*batch_size=*/9);
-  std::size_t replayed = 0;
-  while (replay.next(batch)) replayed += batch.size();
-  EXPECT_EQ(replayed, 64u);
-  std::remove(path.c_str());
-}
-
-TEST(TraceFile, WriterBackPatchesCountOnClose) {
-  const std::string path = temp_path("patched.pgtr");
-  {
-    TraceFileWriter writer(path, 3);
-    const std::vector<double> row{1.0, 2.0, 3.0};
-    writer.write(0xaa, row);
-    writer.write(0xbb, row);
-    EXPECT_EQ(writer.traces_written(), 2u);
-    writer.close();
-  }
-  TraceFileReader reader(path);
-  EXPECT_EQ(reader.size_hint(), 2u);
-  std::remove(path.c_str());
-}
-
-TEST(TraceFile, RejectsCorruptInputs) {
-  // Missing file.
-  EXPECT_THROW(TraceFileReader(temp_path("does-not-exist.pgtr")),
-               std::runtime_error);
-
-  // Bad magic (file is at least one full header long, so it is NOT the
-  // crash-before-first-flush case below -- it must still be rejected).
-  const std::string bad_magic = temp_path("bad-magic.pgtr");
-  {
-    std::FILE* f = std::fopen(bad_magic.c_str(), "wb");
-    ASSERT_NE(f, nullptr);
-    std::fputs("NOTATRACEFILE---header-goes-here", f);
-    std::fclose(f);
-  }
-  EXPECT_THROW(TraceFileReader{bad_magic}, std::runtime_error);
-  std::remove(bad_magic.c_str());
-
-  // Truncated payload: header claims more traces than the file holds.
-  const std::string truncated = temp_path("truncated.pgtr");
-  {
-    TraceFileWriter writer(truncated, 4);
-    writer.write(0x01, std::vector<double>(4, 1.0));
-    writer.write(0x02, std::vector<double>(4, 2.0));
-    writer.close();
-  }
-  {
-    // Chop off the last record's tail.
-    std::FILE* f = std::fopen(truncated.c_str(), "rb+");
-    ASSERT_NE(f, nullptr);
-    std::fseek(f, 0, SEEK_END);
-    const long size = std::ftell(f);
-    std::fclose(f);
-    ASSERT_EQ(::truncate(truncated.c_str(), size - 8), 0);
-  }
-  EXPECT_THROW(TraceFileReader{truncated}, std::runtime_error);
-  std::remove(truncated.c_str());
-
-  // Forged count: 9^-1 mod 2^64 records of 9 bytes wrap the length product
-  // to exactly the one payload byte present, so the check must bound the
-  // count by the payload rather than multiply.
-  const std::string forged = temp_path("forged-count.pgtr");
-  {
-    std::FILE* f = std::fopen(forged.c_str(), "wb");
-    ASSERT_NE(f, nullptr);
-    const std::uint32_t version = 1;
-    const std::uint32_t samples = 1;
-    const std::uint64_t count = 10248191152060862009ULL;
-    ASSERT_EQ(count * 9, 1u);  // the wrap the forgery relies on
-    const std::uint8_t payload = 0x00;
-    std::fwrite("PGMCMLTR", 8, 1, f);
-    std::fwrite(&version, sizeof(version), 1, f);
-    std::fwrite(&samples, sizeof(samples), 1, f);
-    std::fwrite(&count, sizeof(count), 1, f);
-    std::fwrite(&payload, 1, 1, f);
-    std::fclose(f);
-  }
-  EXPECT_THROW(TraceFileReader{forged}, std::runtime_error);
-  EXPECT_THROW(read_trace_file(forged), std::runtime_error);
-  std::remove(forged.c_str());
-
-  // Ragged write is rejected before touching the file.
-  const std::string ragged = temp_path("ragged.pgtr");
-  TraceFileWriter writer(ragged, 5);
-  EXPECT_THROW(writer.write(0x00, std::vector<double>(4, 0.0)),
-               std::invalid_argument);
-  writer.close();
-  std::remove(ragged.c_str());
-}
-
-TEST(TraceFile, CrashBeforeFirstFlushReadsAsCleanEmpty) {
-  // A writer that dies before its stdio buffer reaches the disk leaves a
-  // zero-length file; one that dies mid-header-flush leaves a short prefix.
-  // Neither can hold a record, so both read as "no data", not corruption.
-  for (const long bytes : {0L, 7L, 23L}) {
-    const std::string path = temp_path("crashed-writer.pgtr");
-    {
-      std::FILE* f = std::fopen(path.c_str(), "wb");
-      ASSERT_NE(f, nullptr);
-      for (long i = 0; i < bytes; ++i) std::fputc('P', f);
-      std::fclose(f);
-    }
-    TraceFileReader reader(path);
-    EXPECT_EQ(reader.samples_per_trace(), 0u);
-    EXPECT_EQ(reader.size_hint(), 0u);
-    TraceBatch batch;
-    EXPECT_FALSE(reader.next(batch));
-    std::remove(path.c_str());
-  }
 }
 
 }  // namespace

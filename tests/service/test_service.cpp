@@ -12,6 +12,7 @@
 #include <condition_variable>
 #include <cstdint>
 #include <cstdlib>
+#include <filesystem>
 #include <mutex>
 #include <string>
 #include <thread>
@@ -31,12 +32,28 @@ namespace {
 
 namespace json = obs::json;
 
-std::string make_temp_dir() {
-  char tmpl[] = "/tmp/pgmcml-service-XXXXXX";
-  const char* dir = ::mkdtemp(tmpl);
-  if (dir == nullptr) throw std::runtime_error("mkdtemp failed");
-  return dir;
-}
+/// A fresh directory under /tmp for a test's socket and cache, removed with
+/// everything in it when the test ends.
+class TempDir {
+ public:
+  TempDir() {
+    char tmpl[] = "/tmp/pgmcml-service-XXXXXX";
+    const char* dir = ::mkdtemp(tmpl);
+    if (dir == nullptr) throw std::runtime_error("mkdtemp failed");
+    path_ = dir;
+  }
+  ~TempDir() {
+    std::error_code ignored;
+    std::filesystem::remove_all(path_, ignored);
+  }
+  TempDir(const TempDir&) = delete;
+  TempDir& operator=(const TempDir&) = delete;
+
+  const std::string& path() const { return path_; }
+
+ private:
+  std::string path_;
+};
 
 /// A self-contained experiment document: inline technology (the builtin
 /// 90 nm typical corner), an MCML variant at bias `iss`, and a
@@ -79,9 +96,8 @@ json::Value make_experiment(const std::string& name, double iss,
 class ServiceTest : public ::testing::Test {
  protected:
   void SetUp() override {
-    dir_ = make_temp_dir();
     ServerOptions options;
-    options.socket_path = dir_ + "/pgmcmld.sock";
+    options.socket_path = dir_.path() + "/pgmcmld.sock";
     options.workers = 2;
     options.queue_depth = 8;
     options.max_request_bytes = 4096;
@@ -94,9 +110,11 @@ class ServiceTest : public ::testing::Test {
     server_->wait();
   }
 
-  Client connect() { return Client::connect_unix(dir_ + "/pgmcmld.sock"); }
+  Client connect() {
+    return Client::connect_unix(dir_.path() + "/pgmcmld.sock");
+  }
 
-  std::string dir_;
+  const TempDir dir_;
   std::unique_ptr<Server> server_;
 };
 
@@ -108,26 +126,6 @@ TEST_F(ServiceTest, PingRoundTrips) {
   EXPECT_EQ(r.id, "p1");
   EXPECT_TRUE(r.report.at("pong").as_bool());
   EXPECT_FALSE(r.report.at("draining").as_bool());
-}
-
-TEST_F(ServiceTest, MovedClientKeepsTheConnection) {
-  Client original = connect();
-  Client moved(std::move(original));
-  EXPECT_FALSE(original.connected());
-  ASSERT_TRUE(moved.connected());
-  EXPECT_TRUE(config::response_from_json(
-                  moved.call(make_simple_request("m1", "ping")))
-                  .ok());
-
-  // Move-assigning over a live connection closes it and takes the other.
-  Client assigned = connect();
-  assigned = std::move(moved);
-  EXPECT_FALSE(moved.connected());
-  ASSERT_TRUE(assigned.connected());
-  const config::Response r = config::response_from_json(
-      assigned.call(make_simple_request("m2", "ping")));
-  EXPECT_TRUE(r.ok());
-  EXPECT_EQ(r.id, "m2");
 }
 
 TEST_F(ServiceTest, StatszReportsCountersQueueAndOptions) {
@@ -276,7 +274,8 @@ TEST_F(ServiceTest, ConcurrentClientsMatchTheSerialRunnerBitwise) {
 }
 
 TEST(ServiceAdmission, QueueFullAnswersRejectedWithRetryAfter) {
-  const std::string dir = make_temp_dir();
+  const TempDir tmp;
+  const std::string& dir = tmp.path();
   std::mutex latch_mutex;
   std::condition_variable latch_cv;
   bool parked = false, release = false;
@@ -342,7 +341,8 @@ TEST(ServiceAdmission, QueueFullAnswersRejectedWithRetryAfter) {
 }
 
 TEST(ServiceDrain, DrainAnswersEverythingAlreadyAdmitted) {
-  const std::string dir = make_temp_dir();
+  const TempDir tmp;
+  const std::string& dir = tmp.path();
   std::mutex latch_mutex;
   std::condition_variable latch_cv;
   bool parked = false, release = false;
@@ -386,7 +386,7 @@ TEST(ServiceDrain, DrainAnswersEverythingAlreadyAdmitted) {
 
   // Drain with one job in flight and one queued, then let the worker go.
   server.drain();
-  EXPECT_TRUE(server.draining());
+  EXPECT_TRUE(server.statsz().at("queue").at("draining").as_bool());
   {
     std::lock_guard<std::mutex> lock(latch_mutex);
     release = true;
@@ -405,7 +405,8 @@ TEST(ServiceDrain, DrainAnswersEverythingAlreadyAdmitted) {
 }
 
 TEST(ServiceCache, WarmRequestsServeFromTheSharedCacheWithoutSolves) {
-  const std::string dir = make_temp_dir();
+  const TempDir tmp;
+  const std::string& dir = tmp.path();
   cache::CacheOptions cache_options;
   cache_options.enabled = true;
   cache_options.dir = dir + "/cache";
@@ -462,16 +463,16 @@ TEST(ServiceOptions, EnvKnobsApplyAndRejectLoudly) {
   ::setenv("PGMCML_SERVICE_WORKERS", "7", 1);
   ::setenv("PGMCML_SERVICE_QUEUE_DEPTH", "33", 1);
   ::setenv("PGMCML_SERVICE_DEADLINE_MS", "1500", 1);
-  const ServerOptions parsed = ServerOptions::from_env();
+  const ServerOptions parsed = ServerOptions::from_env(ServerOptions{});
   EXPECT_EQ(parsed.workers, 7u);
   EXPECT_EQ(parsed.queue_depth, 33u);
   EXPECT_EQ(parsed.default_deadline_ms, 1500u);
 
   // Malformed values throw at startup -- never a silent default.
   ::setenv("PGMCML_SERVICE_WORKERS", "banana", 1);
-  EXPECT_THROW(ServerOptions::from_env(), std::runtime_error);
+  EXPECT_THROW(ServerOptions::from_env(ServerOptions{}), std::runtime_error);
   ::setenv("PGMCML_SERVICE_WORKERS", "0", 1);  // below the minimum of 1
-  EXPECT_THROW(ServerOptions::from_env(), std::runtime_error);
+  EXPECT_THROW(ServerOptions::from_env(ServerOptions{}), std::runtime_error);
 
   ::unsetenv("PGMCML_SERVICE_WORKERS");
   ::unsetenv("PGMCML_SERVICE_QUEUE_DEPTH");

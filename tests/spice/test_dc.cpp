@@ -5,6 +5,7 @@
 #include "pgmcml/spice/circuit.hpp"
 #include "pgmcml/spice/engine.hpp"
 #include "pgmcml/spice/technology.hpp"
+#include "support/current_source.hpp"
 
 namespace pgmcml::spice {
 namespace {
@@ -16,7 +17,8 @@ TEST(Dc, ResistorDivider) {
   c.add_vsource("V1", in, c.gnd(), SourceSpec::dc(3.0));
   c.add_resistor("R1", in, mid, 1e3);
   c.add_resistor("R2", mid, c.gnd(), 2e3);
-  const DcResult dc = dc_operating_point(c);
+  NewtonWorkspace ws;
+  const DcResult dc = dc_operating_point(c, {}, ws);
   ASSERT_TRUE(dc.converged);
   EXPECT_NEAR(dc.v(c, mid), 2.0, 1e-6);
   EXPECT_NEAR(dc.v(c, in), 3.0, 1e-9);
@@ -27,7 +29,8 @@ TEST(Dc, SeriesResistorCurrentThroughSource) {
   const NodeId a = c.node("a");
   const DeviceId vs = c.add_vsource("V1", a, c.gnd(), SourceSpec::dc(1.0));
   c.add_resistor("R1", a, c.gnd(), 100.0);
-  const DcResult dc = dc_operating_point(c);
+  NewtonWorkspace ws;
+  const DcResult dc = dc_operating_point(c, {}, ws);
   ASSERT_TRUE(dc.converged);
   Solution sol(dc.x, c.num_nodes());
   // Branch current flows + to - through the source; a delivering supply
@@ -40,9 +43,10 @@ TEST(Dc, CurrentSourceIntoResistor) {
   const NodeId a = c.node("a");
   // 1 mA pulled from ground into node a (SPICE convention: from pos to neg
   // through the source), so stamping (gnd, a) pushes current INTO a.
-  c.add_isource("I1", c.gnd(), a, SourceSpec::dc(1e-3));
+  add_isource(c, "I1", c.gnd(), a, SourceSpec::dc(1e-3));
   c.add_resistor("R1", a, c.gnd(), 1e3);
-  const DcResult dc = dc_operating_point(c);
+  NewtonWorkspace ws;
+  const DcResult dc = dc_operating_point(c, {}, ws);
   ASSERT_TRUE(dc.converged);
   EXPECT_NEAR(dc.v(c, a), 1.0, 1e-6);
 }
@@ -54,7 +58,8 @@ TEST(Dc, FloatingNodeThroughCapacitorStillSolvable) {
   c.add_vsource("V1", a, c.gnd(), SourceSpec::dc(1.0));
   c.add_capacitor("C1", a, b, 1e-12);
   c.add_resistor("R1", b, c.gnd(), 1e6);
-  const DcResult dc = dc_operating_point(c);
+  NewtonWorkspace ws;
+  const DcResult dc = dc_operating_point(c, {}, ws);
   ASSERT_TRUE(dc.converged);
   // In DC the cap is (nearly) open: node b pulled to ground by R1.
   EXPECT_NEAR(dc.v(c, b), 0.0, 1e-3);
@@ -69,7 +74,8 @@ TEST(Dc, DiodeConnectedNmosSettlesAboveThreshold) {
   c.add_resistor("R1", vdd, d, 10e3);
   const MosParams nm = tech.nmos(VtFlavor::kHighVt, 2e-6);
   c.add_mosfet("M1", d, d, c.gnd(), c.gnd(), nm);
-  const DcResult dc = dc_operating_point(c);
+  NewtonWorkspace ws;
+  const DcResult dc = dc_operating_point(c, {}, ws);
   ASSERT_TRUE(dc.converged);
   const double v = dc.v(c, d);
   EXPECT_GT(v, nm.vth0);  // diode-connected: settles above Vth
@@ -84,12 +90,13 @@ TEST(Dc, NmosCurrentMirrorCopiesCurrent) {
   const NodeId out = c.node("out");
   c.add_vsource("VDD", vdd, c.gnd(), SourceSpec::dc(tech.vdd()));
   // Reference branch: 50 uA pushed into the diode-connected device.
-  c.add_isource("IREF", vdd, ref, SourceSpec::dc(50e-6));
+  add_isource(c, "IREF", vdd, ref, SourceSpec::dc(50e-6));
   const MosParams nm = tech.nmos(VtFlavor::kHighVt, 4e-6);
   c.add_mosfet("M1", ref, ref, c.gnd(), c.gnd(), nm);
   c.add_mosfet("M2", out, ref, c.gnd(), c.gnd(), nm);
   const DeviceId rload = c.add_resistor("RL", vdd, out, 5e3);
-  const DcResult dc = dc_operating_point(c);
+  NewtonWorkspace ws;
+  const DcResult dc = dc_operating_point(c, {}, ws);
   ASSERT_TRUE(dc.converged);
   Solution sol(dc.x, c.num_nodes());
   const double i_out = c.device(rload).probe_current(sol);
@@ -107,7 +114,8 @@ TEST(Dc, CmosInverterTransferEndpoints) {
   c.add_mosfet("MN", out, in, c.gnd(), c.gnd(),
                tech.nmos(VtFlavor::kLowVt, 1e-6));
   c.add_mosfet("MP", out, in, vdd, vdd, tech.pmos(VtFlavor::kLowVt, 2e-6));
-  const DcResult dc0 = dc_operating_point(c);
+  NewtonWorkspace ws;
+  const DcResult dc0 = dc_operating_point(c, {}, ws);
   ASSERT_TRUE(dc0.converged);
   EXPECT_GT(dc0.v(c, out), tech.vdd() - 0.05);  // input low -> output high
 
@@ -121,7 +129,7 @@ TEST(Dc, CmosInverterTransferEndpoints) {
   c2.add_mosfet("MN", out2, in2, c2.gnd(), c2.gnd(),
                 tech.nmos(VtFlavor::kLowVt, 1e-6));
   c2.add_mosfet("MP", out2, in2, vdd2, vdd2, tech.pmos(VtFlavor::kLowVt, 2e-6));
-  const DcResult dc1 = dc_operating_point(c2);
+  const DcResult dc1 = dc_operating_point(c2, {}, ws);
   ASSERT_TRUE(dc1.converged);
   EXPECT_LT(dc1.v(c2, out2), 0.05);  // input high -> output low
 }
@@ -144,8 +152,9 @@ TEST(Dc, DifferentialPairSteersTailCurrent) {
   const MosParams nm = tech.nmos(VtFlavor::kHighVt, 2e-6);
   c.add_mosfet("M1", op, inp, tail, c.gnd(), nm);
   c.add_mosfet("M2", on, inn, tail, c.gnd(), nm);
-  c.add_isource("ITAIL", tail, c.gnd(), SourceSpec::dc(50e-6));
-  const DcResult dc = dc_operating_point(c);
+  add_isource(c, "ITAIL", tail, c.gnd(), SourceSpec::dc(50e-6));
+  NewtonWorkspace ws;
+  const DcResult dc = dc_operating_point(c, {}, ws);
   ASSERT_TRUE(dc.converged);
   // Side with the high input carries the current -> its output is LOW.
   const double v_op = dc.v(c, op);
@@ -159,13 +168,14 @@ TEST(Dc, ReportsNonConvergenceInsteadOfGarbage) {
   // A current source into an open node has no DC solution.
   Circuit c;
   const NodeId a = c.node("a");
-  c.add_isource("I1", c.gnd(), a, SourceSpec::dc(1e-3));
+  add_isource(c, "I1", c.gnd(), a, SourceSpec::dc(1e-3));
   c.add_capacitor("C1", a, c.gnd(), 1e-15);
   DcOptions opt;
   opt.allow_gmin_stepping = false;
   opt.allow_source_stepping = false;
   opt.gmin = 0.0;
-  const DcResult dc = dc_operating_point(c, opt);
+  NewtonWorkspace ws;
+  const DcResult dc = dc_operating_point(c, opt, ws);
   // Either it fails outright or the gmin path keeps it solvable; both are
   // acceptable, but a "converged" result must be finite.
   if (dc.converged) {

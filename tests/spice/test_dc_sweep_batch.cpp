@@ -1,5 +1,5 @@
-// The parallel DC sweep must agree with the serial sweep and be bitwise
-// identical at any thread count (fixed warm-start batches).
+// The parallel DC sweep must agree with one serial warm-start chain and be
+// bitwise identical at any thread count (fixed warm-start batches).
 #include <gtest/gtest.h>
 
 #include <memory>
@@ -37,8 +37,9 @@ TEST_F(DcSweepBatchTest, MatchesSerialSweepPointwise) {
   std::vector<double> values;
   for (int i = 0; i <= 50; ++i) values.push_back(i * 0.05);
 
-  auto serial_circuit = make_stage();
-  const auto serial = dc_sweep(*serial_circuit, "VIN", values);
+  // One chunk is the serial sweep: a single chain over every point.
+  const auto serial =
+      dc_sweep_batch(make_stage, "VIN", values, {}, values.size());
   const auto batched = dc_sweep_batch(make_stage, "VIN", values);
 
   ASSERT_EQ(serial.size(), batched.size());

@@ -121,7 +121,6 @@ TEST(MosModel, BodyEffectRaisesThreshold) {
   const double i_nobody = mos_eval(p, 0.7, 0.8, 0.0).id;
   const double i_revbody = mos_eval(p, 0.7, 0.8, -0.6).id;
   EXPECT_LT(i_revbody, i_nobody);
-  EXPECT_GT(mos_vth(p, -0.6), mos_vth(p, 0.0));
 }
 
 TEST(MosModel, WidthScalesCurrentLinearly) {

@@ -1,21 +1,31 @@
 // Regression tests for device probing and the reusable Newton workspace.
 #include <gtest/gtest.h>
 
+#include <cstdint>
+
+#include "pgmcml/obs/obs.hpp"
 #include "pgmcml/spice/circuit.hpp"
 #include "pgmcml/spice/engine.hpp"
+#include "support/current_source.hpp"
 
 namespace pgmcml::spice {
 namespace {
 
+/// Process-wide count of Newton workspace (re)sizings.
+std::uint64_t workspace_reallocations() {
+  return obs::Registry::global().snapshot().counter(
+      "spice.workspace_reallocations");
+}
+
 // A pulsed current source must probe at the solution's own time.  The old
-// probe path evaluated spec_.value(0.0), silently freezing PULSE/PWL sources
-// at their initial value in every recorded waveform.
+// probe path evaluated spec_.value(0.0), silently freezing PULSE sources at
+// their initial value in every recorded waveform.
 TEST(ProbeCurrent, PulsedCurrentSourceFollowsItsWaveform) {
   Circuit c;
   const NodeId n1 = c.node("n1");
-  const DeviceId isrc = c.add_isource(
-      "I1", c.gnd(), n1,
-      SourceSpec::pulse(0.0, 1e-3, 1e-9, 50e-12, 50e-12, 2e-9));
+  const DeviceId isrc =
+      add_isource(c, "I1", c.gnd(), n1,
+                  SourceSpec::pulse(0.0, 1e-3, 1e-9, 50e-12, 50e-12, 2e-9));
   c.add_resistor("R1", n1, c.gnd(), 1e3);
 
   TranOptions opt;
@@ -36,9 +46,10 @@ TEST(ProbeCurrent, DcProbeDefaultsToTimeZero) {
   Circuit c;
   const NodeId n1 = c.node("n1");
   const DeviceId isrc =
-      c.add_isource("I1", c.gnd(), n1, SourceSpec::dc(2e-3));
+      add_isource(c, "I1", c.gnd(), n1, SourceSpec::dc(2e-3));
   c.add_resistor("R1", n1, c.gnd(), 1e3);
-  const DcResult dc = dc_operating_point(c);
+  NewtonWorkspace ws;
+  const DcResult dc = dc_operating_point(c, {}, ws);
   ASSERT_TRUE(dc.converged);
   Solution sol(dc.x, c.num_nodes());
   EXPECT_DOUBLE_EQ(c.device(isrc).probe_current(sol), 2e-3);
@@ -59,10 +70,10 @@ TEST(NewtonWorkspace, NoAllocationInsideTheInnerLoop) {
   TranOptions opt;
   opt.dt_max = 20e-12;
 
-  const std::size_t before = newton_workspace_allocations();
+  const std::size_t before = workspace_reallocations();
   const TranResult tr = transient(c, 4e-9, opt);
   ASSERT_TRUE(tr.ok) << tr.error;
-  const std::size_t after = newton_workspace_allocations();
+  const std::size_t after = workspace_reallocations();
 
   // Hundreds of Newton iterations ran...
   EXPECT_GT(tr.newton_iterations, 100u);
@@ -80,7 +91,7 @@ TEST(NewtonWorkspace, NoAllocationInsideTheInnerLoop) {
   c2.add_capacitor("C1", m2, c2.gnd(), 1e-12);
   const TranResult tr2 = transient(c2, 4e-9, opt);
   ASSERT_TRUE(tr2.ok) << tr2.error;
-  EXPECT_EQ(newton_workspace_allocations() - after, 1u);
+  EXPECT_EQ(workspace_reallocations() - after, 1u);
 }
 
 }  // namespace

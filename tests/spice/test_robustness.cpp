@@ -66,8 +66,8 @@ TEST(Robustness, NodeLookupIsIdempotent) {
   const NodeId a1 = c.node("alpha");
   const NodeId a2 = c.node("alpha");
   EXPECT_EQ(a1, a2);
-  EXPECT_EQ(c.find_node("alpha"), a1);
-  EXPECT_EQ(c.find_node("missing"), -1);
+  EXPECT_EQ(c.node_name(a1), "alpha");
+  EXPECT_EQ(c.num_nodes(), 2u);  // ground + alpha
 }
 
 TEST(Robustness, InternalNodesNeverCollide) {
@@ -81,11 +81,12 @@ TEST(Robustness, InternalNodesNeverCollide) {
 
 TEST(Robustness, EmptyCircuitDcConverges) {
   Circuit c;
-  c.node("only");  // a node with no devices at all
-  c.add_resistor("R", c.find_node("only"), c.gnd(), 1e3);
-  const DcResult dc = dc_operating_point(c);
+  const NodeId only = c.node("only");  // a node with no devices at all
+  c.add_resistor("R", only, c.gnd(), 1e3);
+  NewtonWorkspace ws;
+  const DcResult dc = dc_operating_point(c, {}, ws);
   EXPECT_TRUE(dc.converged);
-  EXPECT_NEAR(dc.v(c, c.find_node("only")), 0.0, 1e-9);
+  EXPECT_NEAR(dc.v(c, only), 0.0, 1e-9);
 }
 
 TEST(Robustness, TransientZeroDurationReturnsInitialPoint) {
@@ -108,7 +109,8 @@ TEST(Robustness, StackedSourcesBetweenSameNodesSolvable) {
   const NodeId a = c.node("a");
   c.add_vsource("V1", a, c.gnd(), SourceSpec::dc(1.0));
   c.add_resistor("RB", a, c.gnd(), 1e3);
-  const DcResult dc = dc_operating_point(c);
+  NewtonWorkspace ws;
+  const DcResult dc = dc_operating_point(c, {}, ws);
   ASSERT_TRUE(dc.converged);
   EXPECT_NEAR(dc.v(c, a), 1.0, 1e-9);
 }
@@ -150,7 +152,8 @@ TEST(Robustness, MosfetBodyAtForwardBiasStillConverges) {
   c.add_vsource("VG", g, c.gnd(), SourceSpec::dc(0.8));
   c.add_vsource("VB", b, c.gnd(), SourceSpec::dc(1.0));  // strong forward bias
   c.add_mosfet("M", d, g, c.gnd(), b, tech.nmos(VtFlavor::kLowVt, 1e-6));
-  const DcResult dc = dc_operating_point(c);
+  NewtonWorkspace ws;
+  const DcResult dc = dc_operating_point(c, {}, ws);
   EXPECT_TRUE(dc.converged);
 }
 
@@ -194,9 +197,6 @@ TEST(Robustness, NonFiniteSourceSpecRejected) {
                std::invalid_argument);
   EXPECT_THROW(SourceSpec::pulse(0.0, 1.0, -1e-9, 1e-12, 1e-12, 1e-9),
                std::invalid_argument);
-  EXPECT_THROW(SourceSpec::pwl({{0.0, 0.0}, {1e-9, kNan}}),
-               std::invalid_argument);
-  EXPECT_THROW(SourceSpec::pwl({{kNan, 0.0}}), std::invalid_argument);
 }
 
 TEST(Robustness, OptionInvariantsValidated) {
@@ -204,12 +204,14 @@ TEST(Robustness, OptionInvariantsValidated) {
   {
     DcOptions opt;
     opt.max_iterations = 0;
-    EXPECT_THROW(dc_operating_point(f.c, opt), std::invalid_argument);
+    NewtonWorkspace ws;
+    EXPECT_THROW(dc_operating_point(f.c, opt, ws), std::invalid_argument);
   }
   {
     DcOptions opt;
     opt.reltol = -1.0;
-    EXPECT_THROW(dc_operating_point(f.c, opt), std::invalid_argument);
+    NewtonWorkspace ws;
+    EXPECT_THROW(dc_operating_point(f.c, opt, ws), std::invalid_argument);
   }
   {
     TranOptions opt;
@@ -245,7 +247,8 @@ TEST(Robustness, TransientInitialStateSizeMismatchIsInvalidInput) {
 // --- LuSolver guards ---------------------------------------------------------
 
 TEST(Robustness, LuSolverFlagsNonFiniteMatrix) {
-  util::Matrix a(2, 2);
+  util::Matrix a;
+  a.resize(2, 2);
   a.at(0, 0) = 1.0;
   a.at(1, 1) = kNan;
   util::LuSolver lu;
@@ -254,7 +257,8 @@ TEST(Robustness, LuSolverFlagsNonFiniteMatrix) {
 }
 
 TEST(Robustness, LuSolverFlagsSingularMatrix) {
-  util::Matrix a(2, 2);
+  util::Matrix a;
+  a.resize(2, 2);
   a.at(0, 0) = 1.0;
   a.at(0, 1) = 2.0;
   a.at(1, 0) = 2.0;
@@ -268,7 +272,8 @@ TEST(Robustness, LuSolverToleratesMixedScaleColumns) {
   // MNA matrices legitimately mix gmin-sized pivots with capacitor companion
   // conductances many decades larger; the per-column singularity threshold
   // must not flag that as singular.
-  util::Matrix a(2, 2);
+  util::Matrix a;
+  a.resize(2, 2);
   a.at(0, 0) = 1e-12;  // gmin-only node
   a.at(1, 1) = 2e3;    // cap companion at tiny dt
   util::LuSolver lu;
@@ -284,7 +289,8 @@ TEST(Robustness, ParallelSourcesWithConflictingValuesAreSingular) {
   c.add_vsource("V1", a, c.gnd(), SourceSpec::dc(1.0));
   c.add_vsource("V2", a, c.gnd(), SourceSpec::dc(2.0));  // contradiction
   c.add_resistor("R", a, c.gnd(), 1e3);
-  const DcResult dc = dc_operating_point(c);
+  NewtonWorkspace ws;
+  const DcResult dc = dc_operating_point(c, {}, ws);
   EXPECT_FALSE(dc.converged);
   EXPECT_EQ(dc.error.kind, SolveErrorKind::kSingularMatrix);
   EXPECT_FALSE(dc.error.describe().empty());
@@ -296,7 +302,8 @@ TEST(Robustness, InjectedSingularMatrixFault) {
   plan.inject(0, 0, FaultKind::kSingularMatrix, 1000);
   DcOptions opt;
   opt.fault_plan = &plan;
-  const DcResult dc = dc_operating_point(f.c, opt);
+  NewtonWorkspace ws;
+  const DcResult dc = dc_operating_point(f.c, opt, ws);
   EXPECT_FALSE(dc.converged);
   EXPECT_EQ(dc.error.kind, SolveErrorKind::kSingularMatrix);
   EXPECT_GT(dc.stats.faults_injected, 0u);
@@ -308,7 +315,8 @@ TEST(Robustness, InjectedNanResidualTripsNonFiniteGuard) {
   plan.inject(0, 0, FaultKind::kNanResidual, 1000);
   DcOptions opt;
   opt.fault_plan = &plan;
-  const DcResult dc = dc_operating_point(f.c, opt);
+  NewtonWorkspace ws;
+  const DcResult dc = dc_operating_point(f.c, opt, ws);
   EXPECT_FALSE(dc.converged);
   EXPECT_EQ(dc.error.kind, SolveErrorKind::kNonFiniteValues);
 }
@@ -321,7 +329,8 @@ TEST(Robustness, InjectedDivergenceWithoutFallbacksIsNewtonMaxIter) {
   opt.fault_plan = &plan;
   opt.allow_gmin_stepping = false;
   opt.allow_source_stepping = false;
-  const DcResult dc = dc_operating_point(f.c, opt);
+  NewtonWorkspace ws;
+  const DcResult dc = dc_operating_point(f.c, opt, ws);
   EXPECT_FALSE(dc.converged);
   EXPECT_EQ(dc.error.kind, SolveErrorKind::kNewtonMaxIter);
 }
@@ -332,7 +341,8 @@ TEST(Robustness, InjectedDivergenceExhaustsFallbacksToDcNoConvergence) {
   plan.inject(0, 0, FaultKind::kNewtonDiverge, 1000);
   DcOptions opt;
   opt.fault_plan = &plan;
-  const DcResult dc = dc_operating_point(f.c, opt);
+  NewtonWorkspace ws;
+  const DcResult dc = dc_operating_point(f.c, opt, ws);
   EXPECT_FALSE(dc.converged);
   EXPECT_EQ(dc.error.kind, SolveErrorKind::kDcNoConvergence);
   // The fallback ladder actually ran before giving up.
@@ -343,7 +353,8 @@ TEST(Robustness, InjectedDivergenceExhaustsFallbacksToDcNoConvergence) {
 
 TEST(Robustness, SuccessfulDcReportsStats) {
   RcFixture f;
-  const DcResult dc = dc_operating_point(f.c);
+  NewtonWorkspace ws;
+  const DcResult dc = dc_operating_point(f.c, {}, ws);
   ASSERT_TRUE(dc.converged);
   EXPECT_EQ(dc.error.kind, SolveErrorKind::kNone);
   EXPECT_TRUE(dc.error.ok());

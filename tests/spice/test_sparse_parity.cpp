@@ -16,6 +16,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -55,12 +56,13 @@ void build_cmos_chain(Circuit& c, int stages, const SourceSpec& input) {
   c.add_vsource("VIN", in, c.gnd(), input);
   NodeId prev = in;
   for (int i = 0; i < stages; ++i) {
-    const NodeId out = c.node("n" + std::to_string(i));
-    c.add_mosfet("MP" + std::to_string(i), out, prev, vdd, vdd,
+    const std::string k = std::to_string(i);
+    const NodeId out = c.node("n" + k);
+    c.add_mosfet("MP" + k, out, prev, vdd, vdd,
                  tech.pmos(VtFlavor::kLowVt, 2e-6));
-    c.add_mosfet("MN" + std::to_string(i), out, prev, c.gnd(), c.gnd(),
+    c.add_mosfet("MN" + k, out, prev, c.gnd(), c.gnd(),
                  tech.nmos(VtFlavor::kHighVt, 1e-6));
-    c.add_capacitor("CL" + std::to_string(i), out, c.gnd(), 2e-15);
+    c.add_capacitor("CL" + k, out, c.gnd(), 2e-15);
     prev = out;
   }
 }
@@ -75,7 +77,8 @@ std::vector<double> dc_solve(Circuit& c, SolverBackend backend,
                              EngineStats* stats = nullptr) {
   DcOptions opt;
   opt.backend = backend;
-  const DcResult dc = dc_operating_point(c, opt);
+  NewtonWorkspace ws;
+  const DcResult dc = dc_operating_point(c, opt, ws);
   EXPECT_TRUE(dc.converged) << dc.error.describe();
   if (stats != nullptr) *stats = dc.stats;
   return dc.x;
@@ -184,12 +187,16 @@ TEST(SparseParity, DcSweepMatchesDense) {
   std::vector<DcResult> results[2];
   const SolverBackend backends[2] = {SolverBackend::kSparse,
                                      SolverBackend::kDense};
+  const auto make_chain = [] {
+    auto c = std::make_unique<Circuit>();
+    build_cmos_chain(*c, 3, SourceSpec::dc(0.0));
+    return c;
+  };
   for (int i = 0; i < 2; ++i) {
-    Circuit c;
-    build_cmos_chain(c, 3, SourceSpec::dc(0.0));
     DcOptions opt;
     opt.backend = backends[i];
-    results[i] = dc_sweep(c, "VIN", values, opt);
+    // One chunk: a single warm-started chain over every point.
+    results[i] = dc_sweep_batch(make_chain, "VIN", values, opt, values.size());
   }
   ASSERT_EQ(results[0].size(), results[1].size());
   for (std::size_t p = 0; p < results[0].size(); ++p) {
@@ -237,7 +244,8 @@ TEST(SparseParity, InjectedFaultKindsMatchAcrossBackends) {
       DcOptions opt;
       opt.backend = backends[i];
       opt.fault_plan = &plan;
-      dc[i] = dc_operating_point(c, opt);
+      NewtonWorkspace ws;
+      dc[i] = dc_operating_point(c, opt, ws);
     }
     EXPECT_FALSE(dc[0].converged);
     EXPECT_FALSE(dc[1].converged);
@@ -336,7 +344,8 @@ TEST(SparseDigest, ReusedWorkspaceStillMatchesDense) {
     ASSERT_TRUE(rs.converged);
     DcOptions dense_opt;
     dense_opt.backend = SolverBackend::kDense;
-    const DcResult rd = dc_operating_point(cd, dense_opt);
+    NewtonWorkspace ws;
+    const DcResult rd = dc_operating_point(cd, dense_opt, ws);
     ASSERT_TRUE(rd.converged);
     expect_vectors_near(rs.x, rd.x, 1e-6);
   }
@@ -379,7 +388,8 @@ TEST(SparseCounters, SingularSystemCountsOnlyFailures) {
     c.add_resistor("R", a, c.gnd(), 1e3);
     DcOptions opt;
     opt.backend = backend;
-    const DcResult dc = dc_operating_point(c, opt);
+    NewtonWorkspace ws;
+    const DcResult dc = dc_operating_point(c, opt, ws);
     EXPECT_FALSE(dc.converged);
     EXPECT_EQ(dc.error.kind, SolveErrorKind::kSingularMatrix);
     // No factorization ever succeeded, so the success counters must not

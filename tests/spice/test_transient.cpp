@@ -159,20 +159,6 @@ TEST(Transient, InitialStateSizeMismatchRejected) {
   EXPECT_FALSE(tr.error.empty());
 }
 
-TEST(Transient, PwlSourceFollowed) {
-  Circuit c;
-  const NodeId in = c.node("in");
-  c.add_vsource("VIN", in, c.gnd(),
-                SourceSpec::pwl({{0.0, 0.0}, {1e-9, 1.0}, {2e-9, 0.25}}));
-  c.add_resistor("R1", in, c.gnd(), 1e3);
-  const TranResult tr = transient(c, 3e-9);
-  ASSERT_TRUE(tr.ok);
-  const auto w = tr.node_waveform(in);
-  EXPECT_NEAR(w.value_at(0.5e-9), 0.5, 0.01);
-  EXPECT_NEAR(w.value_at(1e-9), 1.0, 0.01);
-  EXPECT_NEAR(w.value_at(2.5e-9), 0.25, 0.01);
-}
-
 TEST(SourceSpecTest, PulseValueAndBreakpoints) {
   const auto s = SourceSpec::pulse(0.0, 1.0, 1e-9, 0.1e-9, 0.2e-9, 1e-9, 3e-9);
   EXPECT_DOUBLE_EQ(s.value(0.0), 0.0);
@@ -184,11 +170,6 @@ TEST(SourceSpecTest, PulseValueAndBreakpoints) {
   const auto bps = s.breakpoints(5e-9);
   EXPECT_FALSE(bps.empty());
   for (std::size_t i = 1; i < bps.size(); ++i) EXPECT_GT(bps[i], bps[i - 1]);
-}
-
-TEST(SourceSpecTest, PwlRejectsUnsortedPoints) {
-  EXPECT_THROW(SourceSpec::pwl({{1e-9, 0.0}, {0.5e-9, 1.0}}),
-               std::invalid_argument);
 }
 
 }  // namespace

@@ -4,6 +4,9 @@
 // 256 inputs.
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <vector>
+
 #include "pgmcml/aes/aes.hpp"
 #include "pgmcml/netlist/logicsim.hpp"
 #include "pgmcml/synth/lut.hpp"
@@ -134,23 +137,21 @@ TEST(Mapper, CmosPaysInvertersMcmlDoesNot) {
 TEST(Mapper, FlopsMapToSequentialCells) {
   Module m;
   const Lit d = m.input("d");
-  const Lit rst = m.input("rst");
-  const Lit en = m.input("en");
   m.output("q0", m.dff(d));
-  m.output("q1", m.dff_reset(d, rst));
-  m.output("q2", m.dff_enable(d, en));
+  m.output("q1", m.dff(m.lxor(d, m.input("e"))));
   const auto res = map_module(m, CellLibrary::pgmcml90());
-  ASSERT_EQ(res.design.num_instances(), 3u);
-  int dff = 0, dffr = 0, edff = 0;
+  int dff = 0;
   for (const auto& inst : res.design.instances()) {
-    if (inst.kind == CellKind::kDff) ++dff;
-    if (inst.kind == CellKind::kDffR) ++dffr;
-    if (inst.kind == CellKind::kEDff) ++edff;
+    if (inst.kind != CellKind::kDff) continue;
+    ++dff;
     EXPECT_NE(inst.clk, netlist::kNoNet);
   }
-  EXPECT_EQ(dff, 1);
-  EXPECT_EQ(dffr, 1);
-  EXPECT_EQ(edff, 1);
+  EXPECT_EQ(dff, 2);
+}
+
+/// A single-output truth table as the bit-0 column of an 8-bit LUT.
+std::vector<std::uint8_t> bit0_table(const std::vector<bool>& tt) {
+  return std::vector<std::uint8_t>(tt.begin(), tt.end());
 }
 
 TEST(Lut, TwoVariableFunctionsExact) {
@@ -159,7 +160,7 @@ TEST(Lut, TwoVariableFunctionsExact) {
     const auto in = m.input_bus("x", 2);
     std::vector<bool> tt(4);
     for (int i = 0; i < 4; ++i) tt[i] = (code >> i) & 1;
-    m.output("f", synthesize_truth_table(m, in, tt));
+    m.output("f", synthesize_lut8(m, in, bit0_table(tt))[0]);
     for (unsigned p = 0; p < 4; ++p) {
       const auto out = m.evaluate({bool(p & 1), bool(p & 2)});
       EXPECT_EQ(out[0], tt[p]) << "code=" << code << " p=" << p;
@@ -172,7 +173,7 @@ TEST(Lut, RandomSixInputFunction) {
   const auto in = m.input_bus("x", 6);
   std::vector<bool> tt(64);
   for (int i = 0; i < 64; ++i) tt[i] = (i * 2654435761u >> 7) & 1;
-  m.output("f", synthesize_truth_table(m, in, tt));
+  m.output("f", synthesize_lut8(m, in, bit0_table(tt))[0]);
   for (unsigned p = 0; p < 64; ++p) {
     std::vector<bool> v(6);
     for (int i = 0; i < 6; ++i) v[i] = (p >> i) & 1;
@@ -183,7 +184,7 @@ TEST(Lut, RandomSixInputFunction) {
 TEST(Lut, TableSizeValidation) {
   Module m;
   const auto in = m.input_bus("x", 3);
-  EXPECT_THROW(synthesize_truth_table(m, in, std::vector<bool>(4)),
+  EXPECT_THROW(synthesize_lut8(m, in, std::vector<std::uint8_t>(4)),
                std::invalid_argument);
 }
 

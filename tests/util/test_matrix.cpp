@@ -11,7 +11,8 @@ namespace pgmcml::util {
 namespace {
 
 TEST(Matrix, StoresValuesRowMajor) {
-  Matrix m(2, 3);
+  Matrix m;
+  m.resize(2, 3);
   m.at(0, 0) = 1.0;
   m.at(0, 2) = 2.0;
   m.at(1, 1) = 3.0;
@@ -24,7 +25,8 @@ TEST(Matrix, StoresValuesRowMajor) {
 }
 
 TEST(Matrix, FillOverwritesEverything) {
-  Matrix m(3, 3);
+  Matrix m;
+  m.resize(3, 3);
   m.at(1, 1) = 7.0;
   m.fill(0.5);
   for (std::size_t r = 0; r < 3; ++r) {
@@ -35,10 +37,14 @@ TEST(Matrix, FillOverwritesEverything) {
 }
 
 TEST(LuSolver, SolvesIdentity) {
-  Matrix a(3, 3);
+  Matrix a;
+  a.resize(3, 3);
   for (std::size_t i = 0; i < 3; ++i) a.at(i, i) = 1.0;
   const std::vector<double> b{1.0, 2.0, 3.0};
-  const auto x = LuSolver::solve(a, b);
+  LuSolver lu;
+  ASSERT_TRUE(lu.factorize(a));
+  std::vector<double> x;
+  lu.solve_into(b, x);
   ASSERT_EQ(x.size(), 3u);
   EXPECT_DOUBLE_EQ(x[0], 1.0);
   EXPECT_DOUBLE_EQ(x[1], 2.0);
@@ -47,13 +53,17 @@ TEST(LuSolver, SolvesIdentity) {
 
 TEST(LuSolver, SolvesKnownSystem) {
   // 2x + y = 5 ; x + 3y = 10  ->  x = 1, y = 3.
-  Matrix a(2, 2);
+  Matrix a;
+  a.resize(2, 2);
   a.at(0, 0) = 2.0;
   a.at(0, 1) = 1.0;
   a.at(1, 0) = 1.0;
   a.at(1, 1) = 3.0;
   const std::vector<double> b{5.0, 10.0};
-  const auto x = LuSolver::solve(a, b);
+  LuSolver lu;
+  ASSERT_TRUE(lu.factorize(a));
+  std::vector<double> x;
+  lu.solve_into(b, x);
   ASSERT_EQ(x.size(), 2u);
   EXPECT_NEAR(x[0], 1.0, 1e-12);
   EXPECT_NEAR(x[1], 3.0, 1e-12);
@@ -61,39 +71,45 @@ TEST(LuSolver, SolvesKnownSystem) {
 
 TEST(LuSolver, RequiresPivoting) {
   // Zero on the leading diagonal forces a row swap.
-  Matrix a(2, 2);
+  Matrix a;
+  a.resize(2, 2);
   a.at(0, 0) = 0.0;
   a.at(0, 1) = 1.0;
   a.at(1, 0) = 1.0;
   a.at(1, 1) = 0.0;
   const std::vector<double> b{2.0, 3.0};
-  const auto x = LuSolver::solve(a, b);
+  LuSolver lu;
+  ASSERT_TRUE(lu.factorize(a));
+  std::vector<double> x;
+  lu.solve_into(b, x);
   ASSERT_EQ(x.size(), 2u);
   EXPECT_NEAR(x[0], 3.0, 1e-12);
   EXPECT_NEAR(x[1], 2.0, 1e-12);
 }
 
 TEST(LuSolver, DetectsSingularMatrix) {
-  Matrix a(2, 2);
+  Matrix a;
+  a.resize(2, 2);
   a.at(0, 0) = 1.0;
   a.at(0, 1) = 2.0;
   a.at(1, 0) = 2.0;
   a.at(1, 1) = 4.0;  // linearly dependent rows
   LuSolver solver;
   EXPECT_FALSE(solver.factorize(a));
-  EXPECT_TRUE(LuSolver::solve(a, std::vector<double>{1.0, 1.0}).empty());
 }
 
 TEST(LuSolver, FactorizationReusableAcrossRhs) {
-  Matrix a(2, 2);
+  Matrix a;
+  a.resize(2, 2);
   a.at(0, 0) = 4.0;
   a.at(0, 1) = 1.0;
   a.at(1, 0) = 1.0;
   a.at(1, 1) = 3.0;
   LuSolver solver;
   ASSERT_TRUE(solver.factorize(a));
-  const auto x1 = solver.solve(std::vector<double>{5.0, 4.0});
-  const auto x2 = solver.solve(std::vector<double>{9.0, 7.0});
+  std::vector<double> x1, x2;
+  solver.solve_into(std::vector<double>{5.0, 4.0}, x1);
+  solver.solve_into(std::vector<double>{9.0, 7.0}, x2);
   EXPECT_NEAR(4.0 * x1[0] + x1[1], 5.0, 1e-12);
   EXPECT_NEAR(x1[0] + 3.0 * x1[1], 4.0, 1e-12);
   EXPECT_NEAR(4.0 * x2[0] + x2[1], 9.0, 1e-12);
@@ -104,7 +120,8 @@ TEST(LuSolver, RandomSystemsRoundTrip) {
   Rng rng(42);
   for (int trial = 0; trial < 20; ++trial) {
     const std::size_t n = 1 + trial % 30;
-    Matrix a(n, n);
+    Matrix a;
+    a.resize(n, n);
     for (std::size_t r = 0; r < n; ++r) {
       for (std::size_t c = 0; c < n; ++c) {
         a.at(r, c) = rng.uniform(-1.0, 1.0);
@@ -117,7 +134,10 @@ TEST(LuSolver, RandomSystemsRoundTrip) {
     for (std::size_t r = 0; r < n; ++r) {
       for (std::size_t c = 0; c < n; ++c) b[r] += a.at(r, c) * x_true[c];
     }
-    const auto x = LuSolver::solve(a, b);
+    LuSolver lu;
+    ASSERT_TRUE(lu.factorize(a));
+    std::vector<double> x;
+    lu.solve_into(b, x);
     ASSERT_EQ(x.size(), n);
     for (std::size_t i = 0; i < n; ++i) {
       EXPECT_NEAR(x[i], x_true[i], 1e-8) << "n=" << n << " i=" << i;
@@ -126,7 +146,8 @@ TEST(LuSolver, RandomSystemsRoundTrip) {
 }
 
 TEST(LuSolver, ThrowsOnNonSquare) {
-  Matrix a(2, 3);
+  Matrix a;
+  a.resize(2, 3);
   LuSolver solver;
   EXPECT_THROW(solver.factorize(a), std::invalid_argument);
 }

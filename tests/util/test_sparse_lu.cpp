@@ -38,7 +38,8 @@ CscSystem from_dense(const Matrix& a, double keep_threshold = 0.0) {
 
 TEST(SparseLu, SolvesKnownSystem) {
   // 2x + y = 5 ; x + 3y = 10  ->  x = 1, y = 3.
-  Matrix a(2, 2);
+  Matrix a;
+  a.resize(2, 2);
   a.at(0, 0) = 2.0;
   a.at(0, 1) = 1.0;
   a.at(1, 0) = 1.0;
@@ -57,7 +58,8 @@ TEST(SparseLu, SolvesKnownSystem) {
 
 TEST(SparseLu, RequiresPivoting) {
   // Zero on the leading diagonal: the MNA shape of an ideal voltage source.
-  Matrix a(2, 2);
+  Matrix a;
+  a.resize(2, 2);
   a.at(0, 0) = 0.0;
   a.at(0, 1) = 1.0;
   a.at(1, 0) = 1.0;
@@ -76,7 +78,8 @@ TEST(SparseLu, VoltageSourceBorderedSystem) {
   // Conductance block bordered by +-1 incidence rows/cols with a zero
   // diagonal block -- the exact structure voltage-source branches create.
   const std::size_t n = 4;
-  Matrix a(n, n);
+  Matrix a;
+  a.resize(n, n);
   a.at(0, 0) = 2e-3;
   a.at(0, 1) = -1e-3;
   a.at(1, 0) = -1e-3;
@@ -96,7 +99,8 @@ TEST(SparseLu, VoltageSourceBorderedSystem) {
   lu.solve_into(b, x_sparse);
   LuSolver dense;
   ASSERT_TRUE(dense.factorize(a));
-  const std::vector<double> x_dense = dense.solve(b);
+  std::vector<double> x_dense;
+  dense.solve_into(b, x_dense);
   for (std::size_t i = 0; i < n; ++i) {
     EXPECT_NEAR(x_sparse[i], x_dense[i], 1e-9 * (1.0 + std::fabs(x_dense[i])));
   }
@@ -106,7 +110,8 @@ TEST(SparseLu, MatchesDenseOnRandomSparseSystems) {
   Rng rng(7);
   for (int trial = 0; trial < 20; ++trial) {
     const std::size_t n = 5 + static_cast<std::size_t>(trial) * 7 % 60;
-    Matrix a(n, n);
+    Matrix a;
+    a.resize(n, n);
     for (std::size_t r = 0; r < n; ++r) {
       a.at(r, r) = rng.uniform(1.0, 3.0);
       for (int e = 0; e < 4; ++e) {
@@ -126,7 +131,8 @@ TEST(SparseLu, MatchesDenseOnRandomSparseSystems) {
 
     LuSolver dense;
     ASSERT_TRUE(dense.factorize(a));
-    const std::vector<double> x_dense = dense.solve(b);
+    std::vector<double> x_dense;
+    dense.solve_into(b, x_dense);
     for (std::size_t i = 0; i < n; ++i) {
       EXPECT_NEAR(x_sparse[i], x_dense[i],
                   1e-9 * (1.0 + std::fabs(x_dense[i])))
@@ -140,7 +146,8 @@ TEST(SparseLu, RefactorIsBitwiseIdenticalToFactorize) {
   // values must reproduce the same solution to the last bit.
   Rng rng(21);
   const std::size_t n = 24;
-  Matrix a(n, n);
+  Matrix a;
+  a.resize(n, n);
   for (std::size_t r = 0; r < n; ++r) {
     a.at(r, r) = rng.uniform(1.0, 2.0);
     a.at(r, (r + 3) % n) = rng.uniform(-0.5, 0.5);
@@ -166,7 +173,8 @@ TEST(SparseLu, RefactorIsBitwiseIdenticalToFactorize) {
 }
 
 TEST(SparseLu, RefactorTracksNewValues) {
-  Matrix a(3, 3);
+  Matrix a;
+  a.resize(3, 3);
   a.at(0, 0) = 4.0;
   a.at(0, 1) = 1.0;
   a.at(1, 0) = 1.0;
@@ -189,12 +197,14 @@ TEST(SparseLu, RefactorTracksNewValues) {
   }
   LuSolver dense;
   ASSERT_TRUE(dense.factorize(a2));
-  const auto x_ref = dense.solve(std::vector<double>{8.0, 7.0, 2.0});
+  std::vector<double> x_ref;
+  dense.solve_into(std::vector<double>{8.0, 7.0, 2.0}, x_ref);
   for (std::size_t i = 0; i < 3; ++i) EXPECT_NEAR(x[i], x_ref[i], 1e-12);
 }
 
 TEST(SparseLu, RefactorRejectsDecayedPivotThenFactorizeRecovers) {
-  Matrix a(2, 2);
+  Matrix a;
+  a.resize(2, 2);
   a.at(0, 0) = 1.0;
   a.at(0, 1) = 1.0;
   a.at(1, 0) = 1.0;
@@ -216,7 +226,8 @@ TEST(SparseLu, RefactorRejectsDecayedPivotThenFactorizeRecovers) {
 }
 
 TEST(SparseLu, DetectsSingularMatrix) {
-  Matrix a(2, 2);
+  Matrix a;
+  a.resize(2, 2);
   a.at(0, 0) = 1.0;
   a.at(0, 1) = 2.0;
   a.at(1, 0) = 2.0;
@@ -230,7 +241,8 @@ TEST(SparseLu, DetectsSingularMatrix) {
 }
 
 TEST(SparseLu, DetectsNonFiniteValues) {
-  Matrix a(2, 2);
+  Matrix a;
+  a.resize(2, 2);
   a.at(0, 0) = 1.0;
   a.at(1, 1) = 1.0;
   CscSystem s = from_dense(a);
@@ -244,7 +256,8 @@ TEST(SparseLu, DetectsNonFiniteValues) {
 TEST(SparseLu, FillInRatioAndNnzReported) {
   Rng rng(3);
   const std::size_t n = 30;
-  Matrix a(n, n);
+  Matrix a;
+  a.resize(n, n);
   for (std::size_t r = 0; r < n; ++r) {
     a.at(r, r) = 2.0;
     a.at(r, (r * 13 + 5) % n) += rng.uniform(-0.5, 0.5);
@@ -262,7 +275,8 @@ TEST(SparseLu, FillInRatioAndNnzReported) {
 }
 
 TEST(SparsePattern, DigestIsStructureSensitive) {
-  Matrix a(3, 3);
+  Matrix a;
+  a.resize(3, 3);
   a.at(0, 0) = 1.0;
   a.at(1, 1) = 1.0;
   a.at(2, 2) = 1.0;

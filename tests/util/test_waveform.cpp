@@ -91,11 +91,15 @@ TEST(Waveform, CrossingAbsentReturnsNullopt) {
 }
 
 TEST(Waveform, CrossingsEnumeratesAll) {
+  // Resuming the search just past each crossing walks all of them.
   const Waveform w = ramp();
-  const auto xs = w.crossings(0.5);
-  ASSERT_EQ(xs.size(), 2u);
-  EXPECT_NEAR(xs[0], 0.5, 1e-12);
-  EXPECT_NEAR(xs[1], 2.5, 1e-12);
+  const auto first = w.crossing(0.5);
+  ASSERT_TRUE(first.has_value());
+  EXPECT_NEAR(*first, 0.5, 1e-12);
+  const auto second = w.crossing(0.5, 0, std::nextafter(*first, 1e300));
+  ASSERT_TRUE(second.has_value());
+  EXPECT_NEAR(*second, 2.5, 1e-12);
+  EXPECT_FALSE(w.crossing(0.5, 0, std::nextafter(*second, 1e300)));
 }
 
 TEST(Waveform, SampleUniformEndpoints) {
@@ -121,7 +125,7 @@ TEST(Waveform, PlusAddsPointwise) {
 
 TEST(GridAccumulator, DepositAndLevel) {
   GridAccumulator acc(0.0, 0.1, 11);  // t = 0 .. 1.0
-  acc.deposit(0.5, 2.0);
+  acc.add_level(0.5, 0.55, 2.0);      // one sample
   acc.add_level(0.2, 0.45, 1.0);
   const auto& v = acc.values();
   EXPECT_DOUBLE_EQ(v[5], 2.0);
@@ -133,8 +137,8 @@ TEST(GridAccumulator, DepositAndLevel) {
 
 TEST(GridAccumulator, DepositOutOfRangeIgnored) {
   GridAccumulator acc(0.0, 0.1, 5);
-  acc.deposit(-1.0, 1.0);
-  acc.deposit(10.0, 1.0);
+  acc.add_level(-2.0, -1.0, 1.0);
+  acc.add_level(10.0, 11.0, 1.0);
   for (double v : acc.values()) EXPECT_DOUBLE_EQ(v, 0.0);
 }
 

@@ -18,13 +18,14 @@ unreferenced functions and keeps calls out of line::
   eval cmake -S . -B build-reach $flags && cmake --build build-reach
   eval cmake -S perfbench -B build-reach-perfbench $flags
   cmake --build build-reach-perfbench --target perfbench perfbench_tests
-  tools/reachability.py build-reach build-reach-perfbench --fail-on-unreached
+  tools/reachability.py build-reach build-reach-perfbench --fail-on-unshipped
 
 The first build directory must be the main tree; its ``src/`` archives define
 the function set.  Further directories (the perfbench tree) only contribute
 binaries.  ``--list CLASS`` prints the demangled functions of one class with
 the object file that defines them.  Exit status is 1 with
-``--fail-on-unreached`` when any function is reached by no binary.
+``--fail-on-unshipped`` when any function is reached by no binary, or only by
+tests without being one of the named test seams in ``SEAMS``.
 """
 
 import argparse
@@ -33,6 +34,26 @@ import subprocess
 import sys
 
 CLASSES = ("production", "bench", "tests", "none")
+
+# The library functions that only tests may reach: demangled name -> why the
+# tests need it in the library rather than under tests/.
+SEAMS = {
+    "pgmcml::spice::FaultPlan::inject(unsigned long, unsigned long, "
+    "pgmcml::spice::FaultKind, unsigned long)":
+        "the fault-injection hook the robustness tests arm",
+    "pgmcml::spice::set_default_solver_backend(pgmcml::spice::SolverBackend)":
+        "selects the dense reference backend the sparse parity tests "
+        "compare against",
+    "pgmcml::obs::Snapshot::merge(pgmcml::obs::Snapshot const&)":
+        "combines forked workers' counters (planned consumer: the "
+        "worker-counter merge)",
+    "pgmcml::obs::Snapshot::from_json(pgmcml::obs::json::Value const&)":
+        "reads forked workers' counters back (planned consumer: the "
+        "worker-counter merge)",
+    "pgmcml::obs::HistogramData::merge(pgmcml::obs::HistogramData const&)":
+        "Snapshot::merge's histogram combine (planned consumer: the "
+        "worker-counter merge)",
+}
 
 
 def nm(path):
@@ -106,8 +127,9 @@ def main():
                     help="main build tree first, then extra trees (perfbench)")
     ap.add_argument("--list", choices=CLASSES, action="append", default=[],
                     help="print the functions of this class")
-    ap.add_argument("--fail-on-unreached", action="store_true",
-                    help="exit 1 when a function is reached by no binary")
+    ap.add_argument("--fail-on-unshipped", action="store_true",
+                    help="exit 1 when a function is reached by no binary, or "
+                         "only by tests without being listed in SEAMS")
     args = ap.parse_args()
 
     funcs = library_functions(args.build_dirs[0])
@@ -137,11 +159,23 @@ def main():
         for sym, name in zip(syms, demangle(syms)):
             print(f"  {funcs[sym]:<36} {name}")
 
-    if args.fail_on_unreached and by_class["none"]:
+    if not args.fail_on_unshipped:
+        return 0
+    status = 0
+    if by_class["none"]:
         print(f"\n{len(by_class['none'])} library function(s) are reached by "
               "no binary; delete them or name their consumer", file=sys.stderr)
-        return 1
-    return 0
+        status = 1
+    names = dict(zip(by_class["tests"], demangle(by_class["tests"])))
+    unshipped = sorted(n for n in names.values() if n not in SEAMS)
+    if unshipped:
+        print(f"\n{len(unshipped)} library function(s) are reached only by "
+              "tests and are not named seams; delete them, move them under "
+              "tests/, or add them to SEAMS with a reason:", file=sys.stderr)
+        for name in unshipped:
+            print(f"  {name}", file=sys.stderr)
+        status = 1
+    return status
 
 
 if __name__ == "__main__":
